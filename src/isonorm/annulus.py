@@ -12,9 +12,13 @@ that every lift height is an integer.  A lift of an arc is a chord of the
 strip (a disk); two chords cross iff their endpoints interleave along the
 strip boundary, and the crossing number of two arcs in the annulus is the
 number of integer translates of one lift that interleave with a fixed
-lift of the other.  Chords are realized as straight segments in a round
-disk with a rational boundary parametrization, which keeps every crossing
-parameter and tangent direction in exact rational arithmetic.
+lift of the other.  Translating a chord moves both its endpoints up, so
+each endpoint lies strictly inside the fixed chord for one interval of
+translates, found by floor division; the crossing translates are the
+symmetric difference of the two intervals.  Chords are realized as
+straight segments in a round disk with a rational boundary
+parametrization, which keeps every crossing parameter and tangent
+direction in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -43,16 +47,6 @@ class Endpoint(tuple):
         return self[1]
 
 
-def boundary_key(pt):
-    """Linear position along the strip boundary, increasing CCW.
-
-    The boundary of the strip-disk runs down the left side, around the
-    bottom, and up the right side; interior on the left.
-    """
-    side, h = pt
-    return (0, -h) if side == "L" else (1, h)
-
-
 def chord(start, end, twist, shift=0):
     """The lift of an arc: start at its base height, end offset by the
     twist; ``shift`` translates the whole chord by that many turns."""
@@ -61,28 +55,41 @@ def chord(start, end, twist, shift=0):
     return (Endpoint(s0, h0 + d), Endpoint(s1, h1 + SCALE * twist + d))
 
 
-def interleave(c1, c2):
-    """True iff the two chords cross (endpoints interleave on the
-    boundary circle)."""
-    a, b = sorted(boundary_key(p) for p in c1)
-    inside = sum(1 for p in c2 if a < boundary_key(p) < b)
-    return inside == 1
+def _inside(c1, side):
+    """Open height interval (lo, hi) of the boundary side ``side`` lying
+    strictly inside the chord c1; lo is None when unbounded below.
+
+    The boundary runs down the left side and up the right side.  A chord
+    with both ends on one side cuts off the heights between them there and
+    nothing (the empty interval (0, 0)) on the other side; a chord across
+    the strip cuts off, on each side, the heights below its endpoint there.
+    """
+    (s1, h1), (s2, h2) = c1
+    if s1 == s2:
+        return (min(h1, h2), max(h1, h2)) if side == s1 else (0, 0)
+    return (None, h1 if side == s1 else h2)
 
 
 def crossing_shifts(c1, c2, self_pair=False):
-    """Translates k such that c2 shifted by k turns crosses c1.
+    """Translates k such that c2 shifted by k turns crosses c1, ascending.
 
-    With ``self_pair`` only k >= 1 is scanned (each self-crossing of an
-    arc corresponds to one positive relative translate).
+    The chords cross iff exactly one endpoint of the shifted c2 lies
+    strictly inside c1.  Endpoint (side, h) does so for the k with
+    lo < h + SCALE * k < hi, a half-open range [first, stop) of k.  With
+    ``self_pair`` only k >= 1 is kept (each self-crossing of an arc
+    corresponds to one positive relative translate).
     """
-    span = 2 + sum(abs(p[1]) // SCALE + 1 for p in c1 + c2)
-    lo = 1 if self_pair else -span
-    out = []
-    for k in range(lo, span + 1):
-        shifted = tuple(Endpoint(s, h + SCALE * k) for s, h in c2)
-        if interleave(c1, shifted):
-            out.append(k)
-    return out
+    ranges = []
+    for side, h in c2:
+        lo, hi = _inside(c1, side)
+        first = None if lo is None else (lo - h) // SCALE + 1
+        ranges.append((first, -((h - hi) // SCALE)))
+    # an unbounded range only occurs for both endpoints at once, and
+    # their symmetric difference starts at the lower stop
+    floor = min(stop for _, stop in ranges)
+    a, b = (set(range(floor if first is None else first, stop))
+            for first, stop in ranges)
+    return sorted(k for k in a ^ b if k >= 1 or not self_pair)
 
 
 def count_crossings(c1, c2):
@@ -136,8 +143,3 @@ def segment_intersection(c1, c2):
         return None
     return (t1, t2, 1 if den > 0 else -1)
 
-
-def chord_direction(c):
-    """Direction vector of the straight disk chord of a lift."""
-    p, q = disk_point(c[0]), disk_point(c[1])
-    return (q[0] - p[0], q[1] - p[1])

@@ -19,7 +19,7 @@ from itertools import product
 
 from . import annulus, coorient, homology, polytope
 from .annulus import Endpoint
-from .maps import CombinatorialMap, canonical_key, check_valid, validate
+from .maps import CombinatorialMap, canonical_key, from_strands, validate
 
 LETTERS = ("a1", "b1", "a2", "b2")
 
@@ -248,7 +248,10 @@ def word_to_map(curves):
                 shifted = tuple(Endpoint(s, h + annulus.SCALE * k)
                                 for s, h in chords[j])
                 hit = annulus.segment_intersection(ci, shifted)
-                assert hit is not None
+                if hit is None:
+                    raise AssertionError(
+                        "chords %r and %r shifted by %d do not cross"
+                        % (ci, chords[j], k))
                 t1, t2, sign = hit
                 crossings.append(((i, t1), (j, t2), sign * ORIENT))
     crossings.sort()
@@ -263,60 +266,37 @@ def word_to_map(curves):
     for plist in passages:
         plist.sort()
         params = [t for t, _, _ in plist]
-        assert len(set(params)) == len(params), "degenerate crossing"
+        if len(set(params)) != len(params):
+            raise AssertionError("degenerate crossing at %r" % (params,))
 
-    # germs at vertex v: 4v+0 = out along branch 0, 4v+1 = in along
-    # branch 0, 4v+2 = out along branch 1, 4v+3 = in along branch 1;
-    # rotation reads CCW, which depends on the crossing sign
-    n = 4 * len(crossings)
-    rotation = [0] * n
-    for v, (_, _, sign) in enumerate(crossings):
-        cycle = (0, 2, 1, 3) if sign > 0 else (0, 3, 1, 2)
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            rotation[4 * v + a] = 4 * v + b
-
-    # walk every curve to pair germs and locate the arc-bearing edges
-    pairing = [-1] * n
-    arc_edges = {}
-    arc_forward = {}
+    # each curve's strand of passages; an arc lies on the edge that ends
+    # at the first passage after it
+    strands = []
+    arc_slots = {}  # letter -> (curve, index of next passage, sign)
     conn_by_slot = {(c[3], c[4]): idx for idx, c in enumerate(conns)}
     for ci, curve in enumerate(curves):
-        items = []  # ('arc', letter, sign) and ('pass', vertex, branch)
+        strand = []
         for j, (letter, sign, _) in enumerate(curve):
-            items.append(("arc", letter, sign))
-            for _, v, br in passages[conn_by_slot[(ci, j)]]:
-                items.append(("pass", v, br))
-        if not any(it[0] == "pass" for it in items):
+            arc_slots[letter] = (ci, len(strand), sign)
+            strand.extend((v, br) for _, v, br
+                          in passages[conn_by_slot[(ci, j)]])
+        if not strand:
             raise WordError(
                 "curve %s has no crossings (vertex-free component)"
                 % word_label([curve]))
-        # rotate so the list starts right after a passage
-        start = max(i for i, it in enumerate(items) if it[0] == "pass")
-        items = items[start:] + items[:start]
-        prev_out = 4 * items[0][1] + (0 if items[0][2] == 0 else 2)
-        pending = []
-        for it in items[1:] + items[:1]:
-            if it[0] == "arc":
-                pending.append((it[1], it[2]))
-                continue
-            _, v, br = it
-            in_germ = 4 * v + (1 if br == 0 else 3)
-            pairing[prev_out] = in_germ
-            pairing[in_germ] = prev_out
-            for letter, sign in pending:
-                arc_edges[letter] = (prev_out, in_germ)
-                arc_forward[letter] = prev_out if sign > 0 else in_germ
-            pending = []
-            prev_out = 4 * v + (0 if br == 0 else 2)
+        strands.append(strand)
+    m, outs = from_strands([sign for _, _, sign in crossings], strands)
 
-    assert -1 not in pairing
-    m = CombinatorialMap(rotation, pairing)
+    arc_forward = {}
+    arc_edges = {}
+    for letter, (ci, slot, sign) in arc_slots.items():
+        out = outs[ci][slot - 1]
+        arc_forward[letter] = out if sign > 0 else m.pairing[out]
+        arc_edges[letter] = m.edge_index(out)
     walks = tuple(
         (arc_forward[letter] if forward else m.pairing[arc_forward[letter]],)
         for letter, forward in BASIS_SPEC)
-    arc_edge_idx = {letter: m.edge_index(g[0])
-                    for letter, g in arc_edges.items()}
-    return Genus2Build(canonical_word(curves), m, walks, arc_edge_idx,
+    return Genus2Build(canonical_word(curves), m, walks, arc_edges,
                        arc_forward)
 
 
@@ -380,18 +360,17 @@ def _connected(m, mask, comp):
 _ALL_PORTS = tuple((letter, end) for letter in LETTERS for end in ("-", "+"))
 
 
-def _port_matchings():
-    def rec(free):
-        if not free:
-            yield ()
-            return
-        a = free[0]
-        for i in range(1, len(free)):
-            b = free[i]
-            rest = free[1:i] + free[i + 1:]
-            for m in rec(rest):
-                yield ((a, b),) + m
-    return list(rec(_ALL_PORTS))
+def _perfect_matchings(items):
+    """Perfect matchings of a tuple of items as tuples of pairs, the first
+    item always paired first."""
+    if not items:
+        yield ()
+        return
+    a = items[0]
+    for i in range(1, len(items)):
+        rest = items[1:i] + items[i + 1:]
+        for m in _perfect_matchings(rest):
+            yield ((a, items[i]),) + m
 
 
 def _matching_to_word(matching, twists):
@@ -438,7 +417,7 @@ def census(twist_bound=2):
     pair_cache = {}
     self_cache = {}
     found = {}
-    for matching in _port_matchings():
+    for matching in _perfect_matchings(_ALL_PORTS):
         ports = [(PORTS[u], PORTS[v]) for u, v in matching]
         bases = [_base(u, v) for u, v in matching]
         for twists in product(window, repeat=4):
@@ -482,8 +461,6 @@ def census(twist_bound=2):
             m = build.map
             if validate(m) or len(m.faces) != 1:
                 continue
-            assert m.genus == 2
-            assert not has_separating_cycle(build)
             key = canonical_key(m, allow_reflection=True)
             # prefer representatives whose walks form a genuine basis
             rank = (not build.standard_basis(), word_label(build.word))
@@ -492,6 +469,14 @@ def census(twist_bound=2):
                 found[key] = (rank, build)
     reps = sorted((b for _, b in found.values()),
                   key=lambda b: (-len(b.word), word_label(b.word)))
+    # both properties are isomorphism invariants: one check per class
+    for build in reps:
+        if build.map.genus != 2:
+            raise AssertionError("%s has genus %d"
+                                 % (word_label(build.word), build.map.genus))
+        if has_separating_cycle(build):
+            raise AssertionError("%s has a separating cycle"
+                                 % word_label(build.word))
     return reps
 
 
@@ -503,19 +488,7 @@ def exhaustive_unicellular_maps():
         b = 4 * v
         rot.extend((b + 1, b + 2, b + 3, b))
     out = {}
-
-    def matchings(free):
-        if not free:
-            yield ()
-            return
-        a = free[0]
-        for i in range(1, len(free)):
-            b = free[i]
-            rest = free[1:i] + free[i + 1:]
-            for m in matchings(rest):
-                yield ((a, b),) + m
-
-    for match in matchings(tuple(range(12))):
+    for match in _perfect_matchings(tuple(range(12))):
         pairing = [0] * 12
         for a, b in match:
             pairing[a] = b

@@ -11,8 +11,6 @@ exactly two designated germs among its four.
 
 from __future__ import annotations
 
-import os
-
 from .maps import check_valid
 from . import homology
 
@@ -207,15 +205,3 @@ def eulco_classes(m, basis=None):
         basis = homology.homology_basis(m)
     return enumerate_eulerian(m).classes(basis)
 
-
-def worker_count():
-    """Worker cap from ISONORM_THREADS (reserved; enumeration at desk scale
-    runs sequentially)."""
-    raw = os.environ.get("ISONORM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError("ISONORM_THREADS must be an integer, got %r" % raw)
-    if n < 1:
-        raise ValueError("ISONORM_THREADS must be >= 1")
-    return n

@@ -161,6 +161,41 @@ class CombinatorialMap:
         return g
 
 
+def from_strands(signs, strands):
+    """The map of transverse crossings joined by closed strands.
+
+    Vertex v is a crossing of sign ``signs[v]`` with two branches, 0 and 1;
+    each strand is the cyclic list of the (vertex, branch) passages of one
+    curve, and every passage occurs exactly once over all strands.  Vertex
+    v owns half-edges 4v + 2 * branch (leaving along the branch) and one
+    more (arriving along it); its rotation reads CCW, turning from branch
+    0 to branch 1 when the sign is positive.
+
+    Returns the map and, per strand, the half-edge leaving each passage.
+    """
+    n = 4 * len(signs)
+    rotation = [0] * n
+    for v, sign in enumerate(signs):
+        cycle = (0, 2, 1, 3) if sign > 0 else (0, 3, 1, 2)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            rotation[4 * v + a] = 4 * v + b
+    pairing = [-1] * n
+    outs = []
+    for strand in strands:
+        if not strand:
+            raise MapError("empty strand")
+        out = [4 * v + 2 * br for v, br in strand]
+        for a, b in zip(out, out[1:] + out[:1]):
+            if pairing[a] != -1 or pairing[b + 1] != -1:
+                raise MapError("passage of half-edge %d repeats" % a)
+            pairing[a] = b + 1
+            pairing[b + 1] = a
+        outs.append(out)
+    if -1 in pairing:
+        raise MapError("half-edge %d is on no strand" % pairing.index(-1))
+    return CombinatorialMap(rotation, pairing), outs
+
+
 def validate(m):
     """Return a list of invariant violations (empty iff the map is valid)."""
     diags = []
@@ -231,6 +266,13 @@ def curves(m):
     return out
 
 
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for h, g in enumerate(perm):
+        inv[g] = h
+    return tuple(inv)
+
+
 def _match_from(m1, m2, image0, reflect):
     """Try to extend half-edge 0 -> image0 to an isomorphism m1 -> m2.
 
@@ -238,12 +280,7 @@ def _match_from(m1, m2, image0, reflect):
     reflect is set). Returns the full bijection or None.
     """
     n = m1.n
-    rot2 = m2.rotation
-    if reflect:
-        inv = [0] * n
-        for h in range(n):
-            inv[rot2[h]] = h
-        rot2 = inv
+    rot2 = _inverse(m2.rotation) if reflect else m2.rotation
     phi = [-1] * n
     phi[0] = image0
     used = [False] * n
@@ -285,12 +322,7 @@ def canonical_key(m, allow_reflection=True):
     best = None
     reflections = (False, True) if allow_reflection else (False,)
     for reflect in reflections:
-        rot = m.rotation
-        if reflect:
-            inv = [0] * m.n
-            for h in range(m.n):
-                inv[rot[h]] = h
-            rot = tuple(inv)
+        rot = _inverse(m.rotation) if reflect else m.rotation
         for start in range(m.n):
             key = _relabel_key(rot, m.pairing, start)
             if best is None or key < best:

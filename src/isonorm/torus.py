@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import polytope
-from .maps import CombinatorialMap
+from .maps import from_strands
 
 
 class PolygonError(ValueError):
@@ -222,21 +222,5 @@ def _map_from_crossings(curves, crossings):
     for v, ((i, s), (j, t), _) in enumerate(crossings):
         passages[i].append((s, v, 0))
         passages[j].append((t, v, 1))
-    n = 4 * len(crossings)
-    rotation = [0] * n
-    for v, (_, _, sign) in enumerate(crossings):
-        cycle = (0, 2, 1, 3) if sign > 0 else (0, 3, 1, 2)
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            rotation[4 * v + a] = 4 * v + b
-    pairing = [-1] * n
-    for i in range(len(curves)):
-        plist = sorted(passages[i])
-        assert plist, "curve without crossings"
-        for k, (_, v, br) in enumerate(plist):
-            _, w, br2 = plist[(k + 1) % len(plist)]
-            out = 4 * v + (0 if br == 0 else 2)
-            into = 4 * w + (1 if br2 == 0 else 3)
-            pairing[out] = into
-            pairing[into] = out
-    assert -1 not in pairing
-    return CombinatorialMap(rotation, pairing)
+    strands = [[(v, br) for _, v, br in sorted(plist)] for plist in passages]
+    return from_strands([sign for _, _, sign in crossings], strands)[0]

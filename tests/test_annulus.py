@@ -13,6 +13,40 @@ def arc(start, end, twist):
     return AnnulusArc(start, end, twist)
 
 
+class ScanOracle:
+    """Crossing shifts against a fixed chord by scanning a wide window.
+
+    Boundary positions increase down the left side, then up the right
+    side; a chord crosses the fixed one iff exactly one of its endpoints
+    lies strictly between the fixed chord's endpoints.
+    """
+
+    WINDOW = range(-20, 21)
+
+    def __init__(self, c1):
+        self.a, self.b = sorted(self.position(p) for p in c1)
+        self.cache = {}
+
+    @staticmethod
+    def position(p):
+        side, h = p
+        return (0, -h) if side == "L" else (1, h)
+
+    def inside_shifts(self, p):
+        if p not in self.cache:
+            side, h = p
+            self.cache[p] = frozenset(
+                k for k in self.WINDOW
+                if self.a < self.position((side, h + annulus.SCALE * k))
+                < self.b)
+        return self.cache[p]
+
+    def shifts(self, c2, self_pair=False):
+        crossing = sorted(self.inside_shifts(c2[0])
+                          ^ self.inside_shifts(c2[1]))
+        return [k for k in crossing if k >= 1] if self_pair else crossing
+
+
 class TestArcFormulas:
     """Crossing numbers of labelled arcs against the closed formulas."""
 
@@ -67,6 +101,17 @@ class TestChordModel:
         c2 = chord(Endpoint("L", 3), Endpoint("R", 6), -1)
         assert count_crossings(c1, c2) == count_crossings(c2, c1)
 
+    def test_crossing_shifts_match_scan_oracle(self):
+        ports = [Endpoint(s, h) for s in "LR" for h in (2, 3, 4, 6, 8)]
+        chords = [chord(p, q, t) for p in ports for q in ports if p != q
+                  for t in range(-5, 6)]
+        for c1 in chords:
+            oracle = ScanOracle(c1)
+            assert crossing_shifts(c1, c1, self_pair=True) \
+                == oracle.shifts(c1, self_pair=True)
+            assert [c2 for c2 in chords
+                    if crossing_shifts(c1, c2) != oracle.shifts(c2)] == []
+
     def test_untwisted_disjoint_chords(self):
         c1 = chord(Endpoint("L", 6), Endpoint("R", 6), 0)
         c2 = chord(Endpoint("L", 3), Endpoint("R", 3), 0)
@@ -91,11 +136,34 @@ class TestChordModel:
         assert c[1].height == 3 + 3 * annulus.SCALE
 
     def test_crossing_shifts_match_geometry(self):
-        c1 = chord(Endpoint("L", 6), Endpoint("R", 3), 3)
-        c2 = chord(Endpoint("L", 3), Endpoint("R", 6), 0)
-        for k in crossing_shifts(c1, c2):
-            shifted = chord(Endpoint("L", 3), Endpoint("R", 6), 0, shift=k)
-            assert segment_intersection(c1, shifted) is not None
+        # the straight disk chords cross exactly at the listed shifts;
+        # chords of the census never share a port, so neither do these
+        ports = [Endpoint(s, h) for s in "LR" for h in (3, 6)]
+        window = range(-6, 7)
+        for p1 in ports:
+            for q1 in ports:
+                if p1 == q1:
+                    continue
+                for t1 in range(-2, 3):
+                    c1 = chord(p1, q1, t1)
+                    shifts = crossing_shifts(c1, c1, self_pair=True)
+                    assert set(shifts) <= set(window)
+                    assert shifts == [
+                        k for k in window if k >= 1 and segment_intersection(
+                            c1, chord(p1, q1, t1, shift=k)) is not None]
+                    for p2 in ports:
+                        for q2 in ports:
+                            if len({p1, q1, p2, q2}) < 4:
+                                continue
+                            for t2 in (-1, 0, 1):
+                                shifts = crossing_shifts(
+                                    c1, chord(p2, q2, t2))
+                                assert set(shifts) <= set(window)
+                                assert shifts == [
+                                    k for k in window
+                                    if segment_intersection(
+                                        c1, chord(p2, q2, t2, shift=k))
+                                    is not None]
 
     def test_segment_intersection_exact(self):
         c1 = chord(Endpoint("L", 6), Endpoint("R", 3), 0)

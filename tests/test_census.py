@@ -1,14 +1,16 @@
 import pytest
 
 from isonorm import census, polytope
+from isonorm.cli import parse_walks
 from isonorm.census import (WordError, canonical_word, census as run_census,
                             exhaustive_unicellular_maps, has_separating_cycle,
                             reverse_curve, self_intersection,
                             verify_main_theorem, word_label, word_to_map)
-from isonorm.maps import canonical_key, curves as map_curves, validate
+from isonorm.maps import (canonical_key, curves as map_curves, parse_map,
+                          validate)
 
-from _helpers import (FIGURE_EIGHT, GOLDEN_BALLS, INTRO_VECTORS, TORUS_CROSS,
-                      WORDS)
+from _helpers import (FIGURE_EIGHT, FIXTURES, GOLDEN_BALLS, INTRO_VECTORS,
+                      TORUS_CROSS, WORDS)
 
 NEG_WORD = ((("a1", 1, 0), ("a2", -1, 0)), (("b1", 1, 0), ("b2", 1, 0)))
 
@@ -86,6 +88,16 @@ class TestWordToMap:
             assert len(m.faces) == 1
             assert m.genus == 2
             assert build.standard_basis()
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_golden_words_give_fixture_maps_and_walks(self, i):
+        # pins the half-edge labelling of the map builder
+        build = word_to_map(WORDS[i])
+        m, _ = parse_map((FIXTURES / ("census%d.map" % (i + 1))).read_text())
+        assert build.map.rotation == m.rotation
+        assert build.map.pairing == m.pairing
+        walks = (FIXTURES / ("census%d.walks" % (i + 1))).read_text()
+        assert build.walks == parse_walks(walks, m)
 
     def test_vertex_count_equals_self_intersection(self):
         for word in WORDS + (NEG_WORD,):

@@ -123,18 +123,3 @@ class TestClasses:
         m = census_builds[0].map
         basis = homology.homology_basis(m)
         assert eulco_classes(m) == eulco_classes(m, basis)
-
-
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("ISONORM_THREADS", raising=False)
-        assert coorient.worker_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("ISONORM_THREADS", "4")
-        assert coorient.worker_count() == 4
-
-    def test_bad_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("ISONORM_THREADS", "zero")
-        with pytest.raises(ValueError):
-            coorient.worker_count()

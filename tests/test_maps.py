@@ -1,9 +1,9 @@
 import pytest
 
 from isonorm import census
-from isonorm.maps import (CombinatorialMap, MapParseError, canonical_form,
-                          canonical_key, curves, isomorphic, parse_map,
-                          serialize_map, validate)
+from isonorm.maps import (CombinatorialMap, MapError, MapParseError,
+                          canonical_form, canonical_key, curves, from_strands,
+                          isomorphic, parse_map, serialize_map, validate)
 
 from _helpers import (FIGURE_EIGHT, FIXTURES, TORUS_CROSS, WORDS,
                       random_valid_map, strand_count_oracle)
@@ -85,6 +85,26 @@ class TestCurves:
         for _ in range(25):
             m = random_valid_map(rng, rng.randint(1, 4))
             assert len(curves(m)) == strand_count_oracle(m)
+
+
+class TestFromStrands:
+    def test_two_strands_through_one_crossing(self):
+        m, outs = from_strands([1], [[(0, 0)], [(0, 1)]])
+        assert isomorphic(m, TORUS_CROSS)[0]
+        assert outs == [[0], [2]]
+        assert [m.strand_next(h) for h in (0, 2)] == [0, 2]
+
+    def test_empty_strand_rejected(self):
+        with pytest.raises(MapError):
+            from_strands([1], [[(0, 0), (0, 1)], []])
+
+    def test_repeated_passage_rejected(self):
+        with pytest.raises(MapError):
+            from_strands([1], [[(0, 0)], [(0, 0)]])
+
+    def test_missing_passage_rejected(self):
+        with pytest.raises(MapError):
+            from_strands([1], [[(0, 0)]])
 
 
 class TestIsomorphism:

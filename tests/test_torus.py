@@ -108,6 +108,13 @@ class TestRealizeMap:
         assert m.genus == 1
         assert len(map_curves(m)) == 2
 
+    def test_three_class_map_is_pinned(self):
+        # pins the half-edge labelling of the map builder
+        m = realize_map(TorusCollection([((1, 0), 1), ((0, 1), 1),
+                                         ((1, 1), 1)]))
+        assert m.rotation == (3, 2, 0, 1, 7, 6, 4, 5, 10, 11, 9, 8)
+        assert m.pairing == (5, 4, 9, 8, 1, 0, 11, 10, 3, 2, 7, 6)
+
     def test_vertex_count_is_sum_of_determinants(self, rng):
         for _ in range(10):
             p = random_symmetric_even_polygon(rng)
