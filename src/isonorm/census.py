@@ -19,7 +19,8 @@ from itertools import product
 
 from . import annulus, coorient, homology, polytope
 from .annulus import Endpoint
-from .maps import CombinatorialMap, canonical_key, from_strands, validate
+from .maps import (CombinatorialMap, canonical_key, from_strands, passages,
+                   validate)
 
 LETTERS = ("a1", "b1", "a2", "b2")
 
@@ -254,20 +255,9 @@ def word_to_map(curves):
                         % (ci, chords[j], k))
                 t1, t2, sign = hit
                 crossings.append(((i, t1), (j, t2), sign * ORIENT))
-    crossings.sort()
     if not crossings:
         raise WordError("collection has no crossings")
-
-    # passages along each connector, ordered by parameter
-    passages = [[] for _ in conns]
-    for v, ((i, t1), (j, t2), _) in enumerate(crossings):
-        passages[i].append((t1, v, 0))
-        passages[j].append((t2, v, 1))
-    for plist in passages:
-        plist.sort()
-        params = [t for t, _, _ in plist]
-        if len(set(params)) != len(params):
-            raise AssertionError("degenerate crossing at %r" % (params,))
+    signs, conn_passages = passages(crossings, len(conns))
 
     # each curve's strand of passages; an arc lies on the edge that ends
     # at the first passage after it
@@ -278,14 +268,13 @@ def word_to_map(curves):
         strand = []
         for j, (letter, sign, _) in enumerate(curve):
             arc_slots[letter] = (ci, len(strand), sign)
-            strand.extend((v, br) for _, v, br
-                          in passages[conn_by_slot[(ci, j)]])
+            strand.extend(conn_passages[conn_by_slot[(ci, j)]])
         if not strand:
             raise WordError(
                 "curve %s has no crossings (vertex-free component)"
                 % word_label([curve]))
         strands.append(strand)
-    m, outs = from_strands([sign for _, _, sign in crossings], strands)
+    m, outs = from_strands(signs, strands)
 
     arc_forward = {}
     arc_edges = {}
@@ -396,7 +385,9 @@ def _matching_to_word(matching, twists):
             if cur == letter:
                 # every port has degree two (its arc and its connector),
                 # so the cycle can only close where it started
-                assert sign == 1
+                if sign != 1:
+                    raise AssertionError("curve of %s closes reversed"
+                                         % letter)
                 break
         curves.append(tuple(curve))
     return tuple(curves)

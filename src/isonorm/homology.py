@@ -353,7 +353,8 @@ def homology_basis(m):
                 for v in range(m.num_vertices)]
     if mu == 0:
         # tree-like dual graph: only possible on the sphere (empty basis)
-        assert g == 0
+        if g != 0:
+            raise AssertionError("tree-like dual graph on genus %d" % g)
         return HomologyBasis(m, (), [], boundary, [])
     bmat = [[boundary[v][i] for v in range(m.num_vertices)]
             for i in range(mu)]  # mu x V, columns are boundaries

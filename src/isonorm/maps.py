@@ -155,10 +155,33 @@ class CombinatorialMap:
         if diags:
             raise MapError("; ".join(diags))
         chi = self.num_vertices - self.num_edges + len(self.faces)
-        assert chi % 2 == 0
-        g = (2 - chi) // 2
-        assert g >= 0
-        return g
+        if chi % 2 or chi > 2:
+            raise AssertionError("Euler characteristic %d of a valid map"
+                                 % chi)
+        return (2 - chi) // 2
+
+
+def passages(crossings, paths):
+    """Vertex signs and each path's (vertex, branch) passages in order.
+
+    A crossing ``((i, s), (j, t), sign)`` is passed by path i at parameter
+    s on branch 0 and by path j at t on branch 1; vertex v is the v-th
+    crossing in sorted order.  Two passages of one path at the same
+    parameter raise MapError.
+    """
+    crossings = sorted(crossings)
+    per_path = [[] for _ in range(paths)]
+    for v, ((i, s), (j, t), _) in enumerate(crossings):
+        per_path[i].append((s, v, 0))
+        per_path[j].append((t, v, 1))
+    out = []
+    for plist in per_path:
+        plist.sort()
+        for (s, _, _), (t, _, _) in zip(plist, plist[1:]):
+            if s == t:
+                raise MapError("two passages at parameter %s" % s)
+        out.append([(v, br) for _, v, br in plist])
+    return [sign for _, _, sign in crossings], out
 
 
 def from_strands(signs, strands):
@@ -273,45 +296,24 @@ def _inverse(perm):
     return tuple(inv)
 
 
-def _match_from(m1, m2, image0, reflect):
-    """Try to extend half-edge 0 -> image0 to an isomorphism m1 -> m2.
-
-    Commutes with pairing and with rotation (inverse rotation on m2 when
-    reflect is set). Returns the full bijection or None.
-    """
-    n = m1.n
-    rot2 = _inverse(m2.rotation) if reflect else m2.rotation
-    phi = [-1] * n
-    phi[0] = image0
-    used = [False] * n
-    used[image0] = True
-    queue = deque([0])
-    while queue:
-        h = queue.popleft()
-        for nxt1, nxt2 in ((m1.rotation[h], rot2[phi[h]]),
-                           (m1.pairing[h], m2.pairing[phi[h]])):
-            if phi[nxt1] == -1:
-                if used[nxt2]:
-                    return None
-                phi[nxt1] = nxt2
-                used[nxt2] = True
-                queue.append(nxt1)
-            elif phi[nxt1] != nxt2:
-                return None
-    return phi
-
-
 def isomorphic(m1, m2, allow_reflection=False):
     """Decide map isomorphism; returns (bool, relabeling or None)."""
     check_valid(m1)
     check_valid(m2)
     if m1.n != m2.n:
         return False, None
+    # an isomorphism maps the BFS labelling of m1 from half-edge 0 onto
+    # the BFS labelling of m2 from the image of 0
+    key1, order1 = _relabel(m1.rotation, m1.pairing, 0)
     reflections = (False, True) if allow_reflection else (False,)
     for reflect in reflections:
+        rot2 = _inverse(m2.rotation) if reflect else m2.rotation
         for image0 in range(m2.n):
-            phi = _match_from(m1, m2, image0, reflect)
-            if phi is not None:
+            key2, order2 = _relabel(rot2, m2.pairing, image0)
+            if key2 == key1:
+                phi = [0] * m1.n
+                for h1, h2 in zip(order1, order2):
+                    phi[h1] = h2
                 return True, phi
     return False, None
 
@@ -324,13 +326,15 @@ def canonical_key(m, allow_reflection=True):
     for reflect in reflections:
         rot = _inverse(m.rotation) if reflect else m.rotation
         for start in range(m.n):
-            key = _relabel_key(rot, m.pairing, start)
+            key = _relabel(rot, m.pairing, start)[0]
             if best is None or key < best:
                 best = key
     return best
 
 
-def _relabel_key(rotation, pairing, start):
+def _relabel(rotation, pairing, start):
+    """Relabelling in BFS order from start: the relabelled (rotation,
+    pairing) and the BFS order of the old labels."""
     n = len(rotation)
     label = [-1] * n
     label[start] = 0
@@ -348,7 +352,7 @@ def _relabel_key(rotation, pairing, start):
     for h in range(n):
         rot_new[label[h]] = label[rotation[h]]
         pair_new[label[h]] = label[pairing[h]]
-    return (tuple(rot_new), tuple(pair_new))
+    return (tuple(rot_new), tuple(pair_new)), order
 
 
 def canonical_form(m, allow_reflection=True):
@@ -397,7 +401,10 @@ def parse_map(text):
             parts = line.split()
             if len(parts) != 2 or not parts[1].startswith("V="):
                 raise MapParseError("line %d: bad header %r" % (lineno, line))
-            nv = int(parts[1][2:])
+            try:
+                nv = int(parts[1][2:])
+            except ValueError:
+                raise MapParseError("line %d: bad header %r" % (lineno, line))
         elif line.startswith("v"):
             head, _, rest = line.partition(":")
             try:
@@ -427,7 +434,7 @@ def parse_map(text):
     if nv is None:
         raise MapParseError("missing 'map V=' header")
     n = 4 * nv
-    if sorted(rotation) != list(range(n)):
+    if len(rotation) != n or sorted(rotation) != list(range(n)):
         raise MapParseError("vertex lines do not cover half-edges 0..%d"
                             % (n - 1))
     pairing = [-1] * n

@@ -194,10 +194,14 @@ def reduce_map(m):
             raise MapError(
                 "reduction blocked: every face-merging smoothing would "
                 "create a vertex-free loop")
-        assert len(child.map.faces) == len(current.faces) - 1
+        if len(child.map.faces) != len(current.faces) - 1:
+            raise AssertionError("smoothing at %r did not merge two faces"
+                                 % (step,))
         current = child.map
         trace.append(step)
-    assert len(current.faces) <= 2
+    if len(current.faces) > 2:
+        raise AssertionError("reduction stopped at %d faces"
+                             % len(current.faces))
     return current, trace
 
 
@@ -207,8 +211,8 @@ def norm_parity(m, basis=None):
     some = next(iter(classes))
     parity = "even" if all(x % 2 == 0 for x in some) else "odd"
     for v in classes:
-        assert all((x - y) % 2 == 0 for x, y in zip(v, some)), \
-            "class vectors are not congruent mod 2"
+        if any((x - y) % 2 for x, y in zip(v, some)):
+            raise AssertionError("class vectors are not congruent mod 2")
     return parity
 
 

@@ -142,6 +142,8 @@ def convex_hull(points):
     pts = sorted({tuple(int(x) for x in p) for p in points})
     if not pts:
         raise ValueError("convex_hull of an empty set")
+    if len({len(p) for p in pts}) != 1:
+        raise DimensionError("points of mixed dimension")
     verts = []
     for i, p in enumerate(pts):
         others = pts[:i] + pts[i + 1:]

@@ -9,8 +9,9 @@ realized by the corresponding multicurve and the norm is a weighted sum of
 
 When the realizing collection has at least two distinct classes, every
 curve crosses some other curve and the collection embeds as a 4-valent map
-on the torus; :func:`realize_map` builds that map from exact rational
-crossing data of straight geodesics.
+on the torus; :func:`realize_map` builds that map from the exact rational
+crossings of straight geodesics, in closed form: directions d1, d2 cross
+once per residue modulo det(d1, d2) (see :func:`_line_crossings`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import polytope
-from .maps import from_strands
+from .maps import MapError, from_strands, passages
 
 
 class PolygonError(ValueError):
@@ -27,18 +28,20 @@ class PolygonError(ValueError):
 
 
 class TorusCollection:
-    """Multiset of parallel-geodesic families: (primitive class, count)."""
+    """Multiset of parallel-geodesic families: (primitive class, count),
+    one family per unoriented class."""
 
     def __init__(self, families):
-        fams = []
+        fams = {}
         for c, m in families:
             c = tuple(int(x) for x in c)
             if len(c) != 2 or gcd(c[0], c[1]) != 1:
                 raise ValueError("class %r is not primitive in Z^2" % (c,))
             if m < 1:
                 raise ValueError("multiplicity must be positive")
-            fams.append((_half_plane(c), int(m)))
-        self.families = tuple(sorted(fams))
+            c = _half_plane(c)
+            fams[c] = fams.get(c, 0) + int(m)
+        self.families = tuple(sorted(fams.items()))
 
     def __eq__(self, other):
         return (isinstance(other, TorusCollection)
@@ -169,58 +172,41 @@ def realize_map(collection):
                  Fraction((t + 2) * (t + 2) + 5 * salt, 1013)))
             for t, d in enumerate(dirs)]
         try:
-            crossings = _line_crossings(curves)
-        except _Degenerate:
+            signs, strands = passages(_line_crossings(curves), len(curves))
+        except MapError:
             continue
-        return _map_from_crossings(curves, crossings)
+        return from_strands(signs, strands)[0]
     raise AssertionError("no generic offset found")
 
 
-class _Degenerate(Exception):
-    pass
+def _det(u, v):
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def _line_crossings(curves):
     """All torus crossings as ((i, s), (j, t), sign) with curve parameters
-    s, t in [0, 1)."""
+    s, t in [0, 1).
+
+    Curve i is o_i + s d_i.  Curve i meets the translate of curve j by a
+    lattice vector w at s = det(r + w, d2) / det, t = det(r + w, d1) / det,
+    with r = o2 - o1 and det = det(d1, d2); the torus crossings are these
+    points mod 1.  With det(b, d2) = 1 every w is a b + k d2, and k only
+    shifts t by an integer, so each residue a mod det gives one crossing.
+    """
     crossings = []
     for i, (d1, o1) in enumerate(curves):
         for j in range(i + 1, len(curves)):
             d2, o2 = curves[j]
-            det = d1[0] * d2[1] - d1[1] * d2[0]
+            det = _det(d1, d2)
             if det == 0:
                 continue
             sign = 1 if det > 0 else -1
-            # s*d1 + o1 = t*d2 + o2 + (u, v), one crossing per residue
-            rx = o2[0] - o1[0]
-            ry = o2[1] - o1[1]
-            found = 0
-            ru = abs(d1[0]) + abs(d2[0]) + 2
-            rv = abs(d1[1]) + abs(d2[1]) + 2
-            for u in range(-ru, ru + 1):
-                for v in range(-rv, rv + 1):
-                    s = Fraction((rx + u) * d2[1] - (ry + v) * d2[0], det)
-                    t = Fraction((rx + u) * d1[1] - (ry + v) * d1[0], det)
-                    if 0 <= s < 1 and 0 <= t < 1:
-                        crossings.append(((i, s), (j, t), sign))
-                        found += 1
-            assert found == abs(det), "missed torus crossings"
-    # distinct parameters along every curve (no triple points)
-    per = {}
-    for (i, s), (j, t), _ in crossings:
-        per.setdefault(i, []).append(s)
-        per.setdefault(j, []).append(t)
-    for params in per.values():
-        if len(set(params)) != len(params):
-            raise _Degenerate
+            x, y = d2
+            p = pow(y, -1, abs(x)) if x else y  # p y = 1 mod x
+            b = (p, (p * y - 1) // x if x else 0)  # det(b, d2) = 1
+            r = (o2[0] - o1[0], o2[1] - o1[1])
+            rs, rt, c = _det(r, d2), _det(r, d1), _det(b, d1)
+            for a in range(abs(det)):
+                crossings.append(((i, Fraction(rs + a, det) % 1),
+                                  (j, Fraction(rt + a * c, det) % 1), sign))
     return crossings
-
-
-def _map_from_crossings(curves, crossings):
-    crossings = sorted(set(crossings))
-    passages = [[] for _ in curves]
-    for v, ((i, s), (j, t), _) in enumerate(crossings):
-        passages[i].append((s, v, 0))
-        passages[j].append((t, v, 1))
-    strands = [[(v, br) for _, v, br in sorted(plist)] for plist in passages]
-    return from_strands([sign for _, _, sign in crossings], strands)[0]

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from isonorm import cli, polytope
 
@@ -43,6 +46,13 @@ class TestValidate:
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent.map")
         assert code == 2
+
+    def test_non_integer_header_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.map"
+        bad.write_text("map V=x\nv0: 0 1 2 3\ne: 0 2\ne: 1 3\n")
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert "bad header" in err
 
 
 class TestFaces:
@@ -215,3 +225,40 @@ class TestCheckP8:
         poly.write_text("1 1\n-1 -1\n")
         code, _, _ = run(capsys, "check-p8", str(poly))
         assert code == 1
+
+    def test_mixed_dimensions_exit_two(self, capsys, tmp_path):
+        poly = tmp_path / "mixed.poly"
+        poly.write_text("1 2\n3 4 5\n")
+        code, _, err = run(capsys, "check-p8", str(poly))
+        assert code == 2
+        assert "mixed dimension" in err
+
+
+_MAP_LINES = st.one_of(
+    st.sampled_from(["map V=1", "map V=2", "map V=0", "map V=-1",
+                     "map V=x", "map V=99999999999999", "map", "# note"]),
+    st.builds("{}: {}".format, st.sampled_from(["v0", "v1", "e", "x"]),
+              st.lists(st.integers(-1, 8), max_size=5).map(
+                  lambda hs: " ".join(map(str, hs)))),
+    st.text(alphabet="mapV=ve:0123456789 -#x", max_size=16))
+_POLY_LINES = st.one_of(
+    st.lists(st.integers(-2, 2), max_size=5).map(
+        lambda v: " ".join(map(str, v))),
+    st.text(alphabet="0123456789 -#x", max_size=12))
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(map_text=st.lists(_MAP_LINES, max_size=8).map("\n".join),
+       poly_text=st.lists(_POLY_LINES, max_size=6).map("\n".join))
+def test_generated_input_gives_an_exit_code(tmp_path_factory, map_text,
+                                            poly_text):
+    d = tmp_path_factory.getbasetemp()
+    (d / "fuzz.map").write_text(map_text)
+    (d / "fuzz.poly").write_text(poly_text)
+    for argv in (["validate", str(d / "fuzz.map")],
+                 ["check-p8", str(d / "fuzz.poly")]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 1, 2)

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from isonorm import census
 from isonorm.maps import (CombinatorialMap, MapError, MapParseError,
                           canonical_form, canonical_key, curves, from_strands,
-                          isomorphic, parse_map, serialize_map, validate)
+                          isomorphic, parse_map, passages, serialize_map,
+                          validate)
 
 from _helpers import (FIGURE_EIGHT, FIXTURES, TORUS_CROSS, WORDS,
                       random_valid_map, strand_count_oracle)
@@ -107,6 +110,30 @@ class TestFromStrands:
             from_strands([1], [[(0, 0)]])
 
 
+class TestPassages:
+    def test_vertices_follow_sorted_crossing_order(self):
+        crossings = [((1, Fraction(1, 2)), (0, Fraction(1, 4)), -1),
+                     ((0, Fraction(3, 4)), (1, Fraction(1, 3)), 1),
+                     ((0, Fraction(1, 8)), (0, Fraction(5, 8)), -1)]
+        signs, paths = passages(crossings, 3)
+        # vertices 0, 1, 2 are the self crossing of path 0, then the
+        # crossing at 3/4 on path 0, then the one at 1/2 on path 1
+        assert signs == [-1, 1, -1]
+        assert paths == [[(0, 0), (2, 1), (0, 1), (1, 0)],
+                         [(1, 1), (2, 0)],
+                         []]
+
+    def test_same_parameter_on_one_path_rejected(self):
+        crossings = [((0, Fraction(1, 2)), (1, Fraction(1, 4)), 1),
+                     ((0, Fraction(1, 2)), (2, Fraction(3, 4)), 1)]
+        with pytest.raises(MapError):
+            passages(crossings, 3)
+
+    def test_same_parameter_on_two_paths_allowed(self):
+        crossings = [((0, Fraction(1, 2)), (1, Fraction(1, 2)), 1)]
+        assert passages(crossings, 2) == ([1], [[(0, 0)], [(0, 1)]])
+
+
 class TestIsomorphism:
     def test_map_is_isomorphic_to_itself(self, census_builds):
         m = census_builds[0].map
@@ -172,6 +199,14 @@ class TestTextFormat:
     def test_missing_header_rejected(self):
         with pytest.raises(MapParseError):
             parse_map("v0: 0 1 2 3\ne: 0 1\ne: 2 3\n")
+
+    def test_non_integer_vertex_count_rejected(self):
+        with pytest.raises(MapParseError):
+            parse_map("map V=x\nv0: 0 1 2 3\ne: 0 1\ne: 2 3\n")
+
+    def test_huge_vertex_count_rejected(self):
+        with pytest.raises(MapParseError):
+            parse_map("map V=%d\nv0: 0 1 2 3\ne: 0 1\ne: 2 3\n" % 10**30)
 
     def test_serialization_is_deterministic(self, census_builds):
         m = census_builds[0].map

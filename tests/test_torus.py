@@ -1,11 +1,14 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from isonorm import polytope
 from isonorm.maps import curves as map_curves, validate
 from isonorm.polytope import convex_hull, minkowski_sum, segment, support
-from isonorm.torus import (PolygonError, TorusCollection, check_polygon,
-                           realize, realize_map, realized_ball, torus_norm,
-                           zonotope_decompose)
+from isonorm.torus import (PolygonError, TorusCollection, _line_crossings,
+                           check_polygon, realize, realize_map, realized_ball,
+                           torus_norm, zonotope_decompose)
 
 from _helpers import pm
 
@@ -22,6 +25,46 @@ def random_symmetric_even_polygon(rng, bound=6, tries=200):
     raise AssertionError("no polygon found")
 
 
+def scan_crossings(curves):
+    """Oracle for the torus crossings: try every lattice translate (u, v)
+    in a window that holds all crossings of curves with offsets in
+    [0, 1)^2, and check that each pair of curves crosses |det| times.
+
+    Parameters are compared as integers over the common denominator
+    q = den * det, so only the hits build Fractions.
+    """
+    den = 1
+    for _, o in curves:
+        for x in o:
+            den = den * x.denominator // gcd(den, x.denominator)
+    out = set()
+    for i, (d1, o1) in enumerate(curves):
+        for j in range(i + 1, len(curves)):
+            d2, o2 = curves[j]
+            det = d1[0] * d2[1] - d1[1] * d2[0]
+            if det == 0:
+                continue
+            rx = int((o2[0] - o1[0]) * den)
+            ry = int((o2[1] - o1[1]) * den)
+            q = den * det
+            ru = abs(d1[0]) + abs(d2[0]) + 2
+            rv = abs(d1[1]) + abs(d2[1]) + 2
+            found = 0
+            for u in range(-ru, ru + 1):
+                for v in range(-rv, rv + 1):
+                    ns = (rx + den * u) * d2[1] - (ry + den * v) * d2[0]
+                    nt = (rx + den * u) * d1[1] - (ry + den * v) * d1[0]
+                    if q < 0:
+                        ns, nt = -ns, -nt
+                    if 0 <= ns < abs(q) and 0 <= nt < abs(q):
+                        out.add(((i, Fraction(ns, abs(q))),
+                                 (j, Fraction(nt, abs(q))),
+                                 1 if det > 0 else -1))
+                        found += 1
+            assert found == abs(det)
+    return out
+
+
 class TestCollections:
     def test_classes_are_normalized(self):
         c = TorusCollection([((0, -1), 2), ((-1, 2), 1)])
@@ -34,6 +77,16 @@ class TestCollections:
     def test_zero_multiplicity_rejected(self):
         with pytest.raises(ValueError):
             TorusCollection([((1, 0), 0)])
+
+    def test_repeated_classes_are_summed(self):
+        c = TorusCollection([((1, 0), 1), ((1, 0), 1), ((0, 1), 1)])
+        assert c == TorusCollection([((1, 0), 2), ((0, 1), 1)])
+        assert c.families == (((0, 1), 1), ((1, 0), 2))
+
+    def test_opposite_classes_are_one_family(self):
+        c = TorusCollection([((1, 0), 1), ((-1, 0), 2)])
+        assert c.families == (((1, 0), 3),)
+        assert realize_map(c) is None
 
 
 class TestZonotopeDecompose:
@@ -95,6 +148,30 @@ class TestRealize:
         assert torus_norm(c, (0, 1)) == 2 * 1 + 1 * 1
         assert torus_norm(c, (1, 0)) == 0 + 2
         assert torus_norm(c, (0, 0)) == 0
+
+
+class TestLineCrossings:
+    def test_closed_form_matches_scan_oracle(self):
+        dirs = [(x, y) for x in range(-3, 4) for y in range(-3, 4)
+                if gcd(x, y) == 1]
+        offsets = [(Fraction(0), Fraction(0)),
+                   (Fraction(1, 3), Fraction(2, 7)),
+                   (Fraction(-5, 11), Fraction(9, 13))]
+        for d1 in dirs:
+            for d2 in dirs:
+                for off in offsets:
+                    curves = [(d1, (Fraction(0), Fraction(0))), (d2, off)]
+                    got = _line_crossings(curves)
+                    assert len(got) == len(set(got))
+                    assert set(got) == scan_crossings(curves)
+
+    def test_three_curves_cross_pairwise(self):
+        curves = [((1, 0), (Fraction(1, 5), Fraction(1, 7))),
+                  ((2, 3), (Fraction(0), Fraction(1, 2))),
+                  ((-1, 2), (Fraction(3, 4), Fraction(0)))]
+        got = _line_crossings(curves)
+        assert len(got) == 3 + 2 + 7
+        assert set(got) == scan_crossings(curves)
 
 
 class TestRealizeMap:
