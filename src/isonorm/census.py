@@ -224,7 +224,7 @@ class Genus2Build:
         return tuple(tuple(r) for r in form) == STANDARD_SYMPLECTIC
 
     def eulco_classes(self):
-        return coorient.enumerate_eulerian(self.map).classes(self.walks)
+        return coorient.eulco_classes(self.map, self.walks)
 
     def dual_ball(self):
         return polytope.convex_hull(self.eulco_classes())

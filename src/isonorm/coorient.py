@@ -7,9 +7,18 @@ around a vertex then crosses an incident edge positively exactly when the
 germ at that vertex is the designated one, so the Eulerian condition (two
 positive, two negative crossings per vertex circle) reads: every vertex has
 exactly two designated germs among its four.
+
+The class set [Eulco] comes from ``eulco_classes``, a frontier dynamic
+programme over the edges that never builds a co-orientation.
+``enumerate_eulerian`` (backtracking) and ``brute_force_eulerian`` (all
+2^|E| assignments) list the co-orientations themselves; the library uses
+neither, and the tests keep them as oracles for the class set.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from operator import add
 
 from .maps import check_valid
 from . import homology
@@ -200,8 +209,71 @@ class EulcoSet:
 
 
 def eulco_classes(m, basis=None):
-    """The set [Eulco] of cohomology class vectors of the map."""
+    """The set [Eulco] of cohomology class vectors of the map.
+
+    A frontier dynamic programme over the edges, in the order
+    ``enumerate_eulerian`` decides them.  Designating half-edge ``a`` of edge
+    ``(a, b)`` adds ``c[i] = w_i.count(a) - w_i.count(b)`` to coordinate i of
+    the class vector, designating ``b`` adds ``-c[i]``; the walks may be any
+    half-edge sequences.  A state is the designated-germ count of every open
+    vertex (some germs decided, some not) plus the partial class vector;
+    equal states merge, so the work follows the number of distinct states,
+    not the number of Eulerian co-orientations.
+    """
+    check_valid(m)
     if basis is None:
         basis = homology.homology_basis(m)
-    return enumerate_eulerian(m).classes(basis)
+    walks = basis.walks if isinstance(basis, homology.HomologyBasis) \
+        else basis
+    steps = []
+    for i, w in enumerate(walks):
+        for h in w:
+            if not 0 <= h < m.n:
+                raise ValueError("walk %d: step %r is not a half-edge"
+                                 % (i, h))
+        steps.append(Counter(w))
+    vertex_of = m.vertex_of
+    undecided = [4] * m.num_vertices
+    # frontier (an int with the count of vertex v in bits 2v, 2v+1; closed
+    # and unopened vertices read 0) -> partial class vectors
+    states = {0: {(0,) * len(steps)}}
+    for e in _edge_decision_order(m):
+        a, b = m.edges[e]
+        ends = {vertex_of[a], vertex_of[b]}
+        for g in (a, b):
+            undecided[vertex_of[g]] -= 1
+        c = tuple(s[a] - s[b] for s in steps)
+        choices = ((vertex_of[a], c), (vertex_of[b], tuple(-x for x in c)))
+        nxt = {}
+        for frontier, vectors in states.items():
+            for v, delta in choices:
+                f = _designate(frontier, v, ends, undecided)
+                if f is None:
+                    continue
+                if any(delta):
+                    shifted = {tuple(map(add, x, delta)) for x in vectors}
+                else:
+                    shifted = vectors
+                nxt.setdefault(f, set()).update(shifted)
+        states = nxt
+    return states.get(0, set())
 
+
+def _designate(frontier, v, ends, undecided):
+    """The frontier after one more designated germ at v, or None.
+
+    Only the edge's end vertices ``ends`` change; a vertex whose last germ
+    was just decided must hold exactly two designated germs (the Eulerian
+    condition) and leaves the frontier.
+    """
+    f = frontier + (1 << 2 * v)
+    for u in ends:
+        d = (f >> 2 * u) & 3
+        if undecided[u]:
+            if d > 2 or d + undecided[u] < 2:
+                return None
+        elif d != 2:
+            return None
+        else:
+            f -= 2 << 2 * u
+    return f

@@ -134,12 +134,10 @@ def eulco_union_check(m, vertex, basis=None):
     if any(c.degenerate for c in result.children):
         reasons = [c.reason for c in result.children if c.degenerate]
         return False, None, {"reason": "; ".join(reasons)}
-    parent_classes = coorient.enumerate_eulerian(m).classes(walks)
-    child_classes = []
-    for c in result.children:
-        cw = [c.transport_walk(w) for w in walks]
-        child_classes.append(
-            coorient.enumerate_eulerian(c.map).classes(cw))
+    parent_classes = coorient.eulco_classes(m, walks)
+    child_classes = [
+        coorient.eulco_classes(c.map, [c.transport_walk(w) for w in walks])
+        for c in result.children]
     union = child_classes[0] | child_classes[1]
     holds = union == parent_classes
     detail = {

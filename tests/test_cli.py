@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from isonorm import cli, polytope
+from isonorm import cli, homology, maps, polytope
 
 from _helpers import FIXTURES, GOLDEN_BALLS
 
@@ -262,3 +262,65 @@ def test_generated_input_gives_an_exit_code(tmp_path_factory, map_text,
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
         assert code in (0, 1, 2)
+
+
+
+_WALK_TOKENS = st.one_of(
+    st.builds("e{}{}".format, st.integers(-1, 13), st.sampled_from("+-")),
+    st.text(alphabet="e0123456789+- #x", max_size=6))
+
+
+@st.composite
+def _class_set_input(draw):
+    """Map text, walks text and class coordinates for the class-set
+    subcommands.  The map is a random rotation and pairing on 1-3 vertices
+    (often disconnected, so invalid) or a genus-2 census map, now and then
+    with a line dropped; a valid map's walks are often its own basis walks,
+    kept or with one step dropped."""
+    nv = draw(st.integers(1, 3))
+    rot = draw(st.permutations(range(4 * nv)))
+    pair = draw(st.permutations(range(4 * nv)))
+    lines = ["map V=%d" % nv]
+    lines += ["v%d: %s" % (v, " ".join(map(str, rot[4 * v:4 * v + 4])))
+              for v in range(nv)]
+    lines += ["e: %d %d" % (pair[i], pair[i + 1])
+              for i in range(0, 4 * nv, 2)]
+    census = FIXTURES / ("census%d.map" % draw(st.integers(1, 4)))
+    lines = draw(st.sampled_from([lines, census.read_text().splitlines()]))
+    if draw(st.integers(0, 3)) == 0:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    map_text = "\n".join(lines + draw(st.lists(_MAP_LINES, max_size=1)))
+    walks = draw(st.lists(st.lists(_WALK_TOKENS, max_size=6).map(" ".join),
+                          max_size=5))
+    dim = draw(st.integers(1, 5))
+    try:
+        m, _ = maps.parse_map(map_text)
+    except maps.MapParseError:
+        m = None
+    if m is not None and not maps.validate(m) and draw(st.booleans()):
+        basis = homology.homology_basis(m).walks
+        walks = cli.serialize_walks(m, basis).splitlines()
+        dim = len(basis) or dim
+        tokens = walks[0].split()
+        if tokens and draw(st.booleans()):
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+            walks[0] = " ".join(tokens)
+    coords = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+    return map_text, "\n".join(walks), [str(x) for x in coords]
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_class_set_input())
+def test_generated_walks_give_an_exit_code(tmp_path_factory, case):
+    map_text, walks_text, coords = case
+    d = tmp_path_factory.getbasetemp()
+    mp, wk = str(d / "fuzz.map"), str(d / "fuzz.walks")
+    (d / "fuzz.map").write_text(map_text)
+    (d / "fuzz.walks").write_text(walks_text)
+    for argv in (["dualball", mp], ["norm", mp] + coords, ["parity", mp]):
+        for walks_option in ([], ["--walks", wk]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv + walks_option)
+            assert code in (0, 1, 2)

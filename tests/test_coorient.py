@@ -1,14 +1,25 @@
+from math import atan2
+
 import pytest
 
-from isonorm import census, coorient, homology
+from isonorm import census, coorient, homology, moves, polytope
 from isonorm.coorient import (CoOrientation, brute_force_eulerian,
                               enumerate_eulerian, eulco_classes,
                               from_curve_orientations, is_eulerian,
                               vertex_type)
 from isonorm.maps import curves
+from isonorm.torus import TorusCollection, realize_map
 
-from _helpers import (BALL2, FIGURE_EIGHT, TORUS_CROSS, WORDS,
+from _helpers import (BALL2, FIGURE_EIGHT, REDUCIBLE_F3, TORUS_CROSS, WORDS,
                       random_valid_map)
+
+
+def torus_map(families):
+    return realize_map(TorusCollection(families))
+
+
+def oracle_classes(m, walks):
+    return enumerate_eulerian(m).classes(walks)
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +134,80 @@ class TestClasses:
         m = census_builds[0].map
         basis = homology.homology_basis(m)
         assert eulco_classes(m) == eulco_classes(m, basis)
+
+    def test_matches_enumeration_on_pinned_maps(self):
+        for m in (FIGURE_EIGHT, TORUS_CROSS, REDUCIBLE_F3):
+            walks = homology.homology_basis(m).walks
+            assert eulco_classes(m, walks) == oracle_classes(m, walks)
+
+    def test_matches_enumeration_on_census_builds(self, census_builds):
+        for build in census_builds:
+            assert eulco_classes(build.map, build.walks) == \
+                oracle_classes(build.map, build.walks)
+
+    def test_matches_enumeration_on_random_maps(self, rng):
+        loops = 0
+        for _ in range(120):
+            m = random_valid_map(rng, rng.randint(1, 6))
+            loops += any(m.vertex_of[a] == m.vertex_of[b] for a, b in m.edges)
+            # basis walks, and half-edge sequences that are no dual walks
+            arbitrary = [tuple(rng.randrange(m.n)
+                               for _ in range(rng.randint(0, 8)))
+                         for _ in range(rng.randint(0, 3))]
+            for walks in (homology.homology_basis(m).walks, arbitrary):
+                assert eulco_classes(m, walks) == oracle_classes(m, walks)
+        assert loops >= 10
+
+    @pytest.mark.parametrize("families", [
+        [((1, 0), 2), ((0, 1), 2), ((1, 1), 2)],
+        [((1, 0), 1), ((0, 1), 1), ((1, 1), 1), ((1, -1), 1), ((2, 1), 1)],
+    ], ids=["V12", "V14"])
+    def test_matches_enumeration_on_torus_maps(self, families):
+        m = torus_map(families)
+        walks = homology.homology_basis(m).walks
+        assert eulco_classes(m, walks) == oracle_classes(m, walks)
+
+    def test_matches_enumeration_on_transported_walks(self, census_builds):
+        build = census_builds[0]
+        checked = 0
+        for v in range(build.map.num_vertices):
+            for child in moves.smooth(build.map, v).children:
+                if child.degenerate:
+                    continue
+                walks = [child.transport_walk(w) for w in build.walks]
+                assert eulco_classes(child.map, walks) == \
+                    oracle_classes(child.map, walks)
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("step", [-1, 12])
+    def test_step_outside_the_half_edges_rejected(self, census_builds, step):
+        m = census_builds[0].map
+        with pytest.raises(ValueError, match="not a half-edge"):
+            eulco_classes(m, [(0, step)])
+
+
+def doubled_area(vertices):
+    cyc = sorted(vertices, key=lambda p: atan2(p[1], p[0]))
+    return abs(sum(p[0] * q[1] - p[1] * q[0]
+                   for p, q in zip(cyc, cyc[1:] + cyc[:1])))
+
+
+class TestLargeTorusBalls:
+    """Torus maps too large to enumerate co-orientations for: the ball is
+    the zonotope of the curve families, so it has two vertices per family
+    and doubled area 8 V (V = sum of |det| m m' over pairs of families)."""
+
+    @pytest.mark.parametrize("families,V,n_classes", [
+        ([((1, 0), 2), ((0, 1), 2), ((1, 1), 2), ((1, -1), 2)], 28, 37),
+        ([((1, 0), 1), ((0, 1), 1), ((1, 1), 1), ((1, -1), 1), ((2, 1), 1),
+          ((1, 2), 1)], 24, 31),
+    ], ids=["V28", "V24"])
+    def test_ball_is_the_zonotope(self, families, V, n_classes):
+        m = torus_map(families)
+        assert m.num_vertices == V
+        classes = eulco_classes(m)
+        assert len(classes) == n_classes
+        ball = polytope.convex_hull(classes)
+        assert len(ball.vertices) == 2 * len(families)
+        assert doubled_area(ball.vertices) == 8 * V
