@@ -17,8 +17,9 @@ each endpoint lies strictly inside the fixed chord for one interval of
 translates, found by floor division; the crossing translates are the
 symmetric difference of the two intervals.  Chords are realized as
 straight segments in a round disk with a rational boundary
-parametrization, which keeps every crossing parameter and tangent
-direction in exact rational arithmetic.
+parametrization.  Their endpoints are integer homogeneous points on the
+circle, so a crossing is found and oriented in integer arithmetic; only
+the two crossing parameters it returns are built as Fractions.
 """
 
 from __future__ import annotations
@@ -106,20 +107,20 @@ def count_self_crossings(c):
 # Exact geometry: straight chords in a round disk
 # ---------------------------------------------------------------------------
 
-def disk_point(pt):
-    """Rational point on the unit circle for a boundary position.
+def _circle_point(pt):
+    """Integer homogeneous point (x, y, w), w > 0, on the unit circle for a
+    boundary position.
 
     The boundary coordinate s increases CCW (left side descending maps to
-    (-1, 1), right side ascending to (1, 3)); t = s - 1 is used as the
-    tangent-half-angle of the circle parametrization.
+    (-1, 1), right side ascending to (1, 3)), with s = -y / (1 + |y|) on
+    the left and 2 + y / (1 + |y|) on the right for y = h / SCALE.  Then
+    t = s - 1 = p / q with q = SCALE + |h| is the tangent-half-angle of the
+    circle parametrization ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)).
     """
     side, h = pt
-    y = Fraction(h, SCALE)
-    frac = y / (1 + abs(y))
-    s = -frac if side == "L" else 2 + frac
-    t = s - 1
-    den = 1 + t * t
-    return ((1 - t * t) / den, 2 * t / den)
+    q = SCALE + abs(h)
+    p = q + h if side == "R" else -(q + h)
+    return (q * q - p * p, 2 * p * q, q * q + p * p)
 
 
 def segment_intersection(c1, c2):
@@ -128,18 +129,27 @@ def segment_intersection(c1, c2):
     Returns (t1, t2, sign) with t_i the affine parameter of the crossing
     along chord i and sign = +1 iff (direction of c1, direction of c2) is
     a positively oriented frame; None if the segments do not cross.
+
+    With chord i from a_i to b_i, t1 = (a2 - a1) x d2 / (d1 x d2) and
+    t2 = (a2 - a1) x d1 / (d1 x d2) for d_i = b_i - a_i.  Clearing the
+    positive weights of the homogeneous endpoints leaves each parameter a
+    quotient of integers, compared with 0 and 1 by cross-multiplication.
     """
-    p1, q1 = disk_point(c1[0]), disk_point(c1[1])
-    p2, q2 = disk_point(c2[0]), disk_point(c2[1])
-    d1 = (q1[0] - p1[0], q1[1] - p1[1])
-    d2 = (q2[0] - p2[0], q2[1] - p2[1])
-    den = d1[0] * d2[1] - d1[1] * d2[0]
+    xa, ya, wa = _circle_point(c1[0])
+    xb, yb, wb = _circle_point(c1[1])
+    xc, yc, wc = _circle_point(c2[0])
+    xd, yd, wd = _circle_point(c2[1])
+    # d1, d2 and a2 - a1 scaled by wa * wb, wc * wd and wa * wc
+    d1x, d1y = xb * wa - xa * wb, yb * wa - ya * wb
+    d2x, d2y = xd * wc - xc * wd, yd * wc - yc * wd
+    rx, ry = xc * wa - xa * wc, yc * wa - ya * wc
+    den = d1x * d2y - d1y * d2x
     if den == 0:
         return None
-    rhs = (p2[0] - p1[0], p2[1] - p1[1])
-    t1 = (rhs[0] * d2[1] - rhs[1] * d2[0]) / den
-    t2 = (rhs[0] * d1[1] - rhs[1] * d1[0]) / den
-    if not (0 < t1 < 1 and 0 < t2 < 1):
+    sign = 1 if den > 0 else -1
+    # t1 = n1 / m1 and t2 = n2 / m2 with m1, m2 of the sign of den
+    n1, m1 = (rx * d2y - ry * d2x) * wb * sign, wc * den * sign
+    n2, m2 = (rx * d1y - ry * d1x) * wd * sign, wa * den * sign
+    if not (0 < n1 < m1 and 0 < n2 < m2):
         return None
-    return (t1, t2, 1 if den > 0 else -1)
-
+    return (Fraction(n1, m1), Fraction(n2, m2), sign)

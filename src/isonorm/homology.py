@@ -140,19 +140,32 @@ def smith_normal_form(mat):
     """Return (U, D, V) with U*mat*V = D in Smith normal form.
 
     U and V are unimodular; D is diagonal with d_i | d_{i+1}.  Matrices are
-    lists of lists of Python ints.
+    lists of lists of Python ints.  The elimination also carries U^-1; see
+    :func:`_smith`.
+    """
+    return _smith(mat)[:3]
+
+
+def _smith(mat):
+    """Return (U, D, V, U^-1) with U*mat*V = D in Smith normal form.
+
+    U^-1 is kept beside U through the elimination: subtracting q times
+    row j from row i of U adds q times column i to column j of U^-1, and
+    a row swap or negation of U is the same column swap or negation of
+    U^-1.  The columns of U^-1 are stored as rows and transposed at the
+    end.
     """
     a = [row[:] for row in mat]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    uinv_cols = [[int(i == j) for j in range(rows)] for i in range(rows)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        for k in range(cols):
-            a[i][k] -= q * a[j][k]
-        for k in range(rows):
-            u[i][k] -= q * u[j][k]
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        uinv_cols[j] = [x + q * y for x, y in zip(uinv_cols[j], uinv_cols[i])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in range(rows):
@@ -163,6 +176,7 @@ def smith_normal_form(mat):
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        uinv_cols[i], uinv_cols[j] = uinv_cols[j], uinv_cols[i]
 
     def swap_cols(i, j):
         for r in range(rows):
@@ -220,12 +234,19 @@ def smith_normal_form(mat):
                 a[t][k] = -a[t][k]
             for k in range(rows):
                 u[t][k] = -u[t][k]
+                uinv_cols[t][k] = -uinv_cols[t][k]
         t += 1
-    return u, a, v
+    return u, a, v, [list(r) for r in zip(*uinv_cols)]
 
 
 def integer_inverse(mat):
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix, by Fraction
+    Gauss-Jordan elimination.
+
+    The library reads U^-1 from :func:`_smith` instead; this independent
+    inverse checks it in the tests and stays traceable by name for
+    ``perfbench``.
+    """
     n = len(mat)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
                                          for j in range(n)]
@@ -358,7 +379,7 @@ def homology_basis(m):
         return HomologyBasis(m, (), [], boundary, [])
     bmat = [[boundary[v][i] for v in range(m.num_vertices)]
             for i in range(mu)]  # mu x V, columns are boundaries
-    u, d, _ = smith_normal_form(bmat)
+    _, d, _, uinv = _smith(bmat)
     rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
     divisors = [d[i][i] for i in range(rank)]
     if any(x != 1 for x in divisors):
@@ -366,7 +387,6 @@ def homology_basis(m):
     if mu - rank != 2 * g:
         raise AssertionError("homology rank %d != 2g = %d"
                              % (mu - rank, 2 * g))
-    uinv = integer_inverse(u)
     cycles = [_fundamental_cycle_walk(dg, parent_step, e) for e in nontree]
     walks = []
     coords = []

@@ -319,16 +319,47 @@ def isomorphic(m1, m2, allow_reflection=False):
 
 
 def canonical_key(m, allow_reflection=True):
-    """Canonical invariant of the isomorphism class (hashable)."""
+    """Canonical invariant of the isomorphism class (hashable).
+
+    The key is the least relabelled (rotation, pairing) over the BFS
+    relabellings from every start (see :func:`_relabel`), also of the
+    mirror map when ``allow_reflection``.  Each relabelled rotation is
+    emitted label by label during its BFS and compared with the best so
+    far, so a start is dropped at the first label where it is larger; the
+    pairing is built only for starts that survive.
+    """
     check_valid(m)
+    n = m.n
+    pairing = m.pairing
     best = None
     reflections = (False, True) if allow_reflection else (False,)
     for reflect in reflections:
-        rot = _inverse(m.rotation) if reflect else m.rotation
-        for start in range(m.n):
-            key = _relabel(rot, m.pairing, start)[0]
-            if best is None or key < best:
-                best = key
+        rotation = _inverse(m.rotation) if reflect else m.rotation
+        for start in range(n):
+            label = [-1] * n
+            label[start] = 0
+            order = [start]
+            rot_new = []
+            less = best is None  # decided smaller than best already
+            # BFS pops half-edges in label order, so the k-th pop emits
+            # the relabelled rotation at label k
+            for h in order:
+                for g in (rotation[h], pairing[h]):
+                    if label[g] == -1:
+                        label[g] = len(order)
+                        order.append(g)
+                r = label[rotation[h]]
+                if not less:
+                    b = best[0][len(rot_new)]
+                    if r > b:
+                        break
+                    less = r < b
+                rot_new.append(r)
+            else:
+                key = (tuple(rot_new),
+                       tuple(label[pairing[h]] for h in order))
+                if less or key[1] < best[1]:
+                    best = key
     return best
 
 

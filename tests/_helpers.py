@@ -63,6 +63,16 @@ REDUCIBLE_F3 = CombinatorialMap(
 EVEN_F2 = CombinatorialMap((3, 0, 1, 2, 6, 7, 5, 4),
                            (6, 4, 7, 5, 1, 3, 0, 2))
 
+# torus collections as (primitive class, multiplicity) families; their
+# maps have 3 to 17 vertices
+TORUS_FAMILIES = (
+    (((1, 0), 1), ((0, 1), 1), ((1, 1), 1)),
+    (((2, 1), 1), ((1, -1), 2), ((0, 1), 1)),
+    (((1, 0), 2), ((0, 1), 2), ((1, 1), 1), ((1, -1), 1)),
+    (((1, 2), 1), ((2, -1), 1), ((3, 1), 1)),
+    (((1, 0), 1), ((1, 3), 2), ((2, 1), 1)),
+)
+
 
 def random_valid_map(rng, num_vertices):
     """A uniformly scrambled valid (connected) map with the given size."""

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -45,6 +46,42 @@ class ScanOracle:
         crossing = sorted(self.inside_shifts(c2[0])
                           ^ self.inside_shifts(c2[1]))
         return [k for k in crossing if k >= 1] if self_pair else crossing
+
+
+@lru_cache(maxsize=None)
+def disk_point(pt):
+    """Rational point on the unit circle for a boundary position, built
+    with Fractions: boundary coordinate s = -y / (1 + |y|) on the left
+    and 2 + y / (1 + |y|) on the right for y = h / SCALE, and t = s - 1
+    the tangent-half-angle of the circle parametrization."""
+    side, h = pt
+    y = Fraction(h, annulus.SCALE)
+    frac = y / (1 + abs(y))
+    s = -frac if side == "L" else 2 + frac
+    t = s - 1
+    den = 1 + t * t
+    return ((1 - t * t) / den, 2 * t / den)
+
+
+@lru_cache(maxsize=None)
+def _frame(c):
+    p, q = disk_point(c[0]), disk_point(c[1])
+    return p, (q[0] - p[0], q[1] - p[1])
+
+
+def segment_intersection_oracle(c1, c2):
+    """Crossing (t1, t2, sign) of two straight disk chords in Fractions."""
+    p1, d1 = _frame(c1)
+    p2, d2 = _frame(c2)
+    den = d1[0] * d2[1] - d1[1] * d2[0]
+    if den == 0:
+        return None
+    rx, ry = p2[0] - p1[0], p2[1] - p1[1]
+    t1 = (rx * d2[1] - ry * d2[0]) / den
+    t2 = (rx * d1[1] - ry * d1[0]) / den
+    if not (0 < t1 < 1 and 0 < t2 < 1):
+        return None
+    return (t1, t2, 1 if den > 0 else -1)
 
 
 class TestArcFormulas:
@@ -176,6 +213,27 @@ class TestChordModel:
         assert sign in (-1, 1)
         # swapping the chords flips the frame orientation
         assert segment_intersection(c2, c1)[2] == -sign
+
+    def test_segment_intersection_matches_fraction_oracle(self):
+        ports = [Endpoint(s, h) for s in "LR" for h in (2, 3, 4, 6, 8)]
+        pairs = [(p, q) for p in ports for q in ports if p != q]
+        chords = [chord(p, q, t) for p, q in pairs for t in range(-3, 4)]
+        # every ordered pair of twisted chords, then every relative shift
+        # of the untwisted ones
+        untwisted = [chord(p, q, 0) for p, q in pairs]
+        shifted = [chord(p, q, 0, shift=k) for p, q in pairs
+                   for k in range(-3, 4)]
+        hits = 0
+        for firsts, seconds in ((chords, chords), (untwisted, shifted)):
+            for c1 in firsts:
+                for c2 in seconds:
+                    hit = segment_intersection(c1, c2)
+                    assert hit == segment_intersection_oracle(c1, c2), \
+                        (c1, c2)
+                    hits += hit is not None
+        # both outcomes occur often
+        assert 0.1 < hits / (len(chords) ** 2 + len(untwisted)
+                             * len(shifted)) < 0.9
 
     def test_parallel_segments_do_not_cross(self):
         c = chord(Endpoint("L", 6), Endpoint("R", 3), 0)

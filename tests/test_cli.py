@@ -324,3 +324,52 @@ def test_generated_walks_give_an_exit_code(tmp_path_factory, case):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv + walks_option)
             assert code in (0, 1, 2)
+
+
+@st.composite
+def _map_and_polygon_input(draw):
+    """Map text, a vertex index and polygon text for the map and torus
+    subcommands.  The map is a random rotation and pairing on 1-4
+    vertices or a genus-2 census map, now and then with a line dropped or
+    a junk line added; the polygon is a random point set, often closed
+    under negation so that realization is attempted, or junk lines."""
+    nv = draw(st.integers(1, 4))
+    rot = draw(st.permutations(range(4 * nv)))
+    pair = draw(st.permutations(range(4 * nv)))
+    lines = ["map V=%d" % nv]
+    lines += ["v%d: %s" % (v, " ".join(map(str, rot[4 * v:4 * v + 4])))
+              for v in range(nv)]
+    lines += ["e: %d %d" % (pair[i], pair[i + 1])
+              for i in range(0, 4 * nv, 2)]
+    census = FIXTURES / ("census%d.map" % draw(st.integers(1, 4)))
+    lines = draw(st.sampled_from([lines, census.read_text().splitlines()]))
+    if draw(st.integers(0, 3)) == 0:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    map_text = "\n".join(lines + draw(st.lists(_MAP_LINES, max_size=1)))
+    points = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                           max_size=5))
+    if draw(st.booleans()):
+        points += [(-x, -y) for x, y in points]
+    poly = ["%d %d" % p for p in points]
+    poly = draw(st.sampled_from([poly, poly + draw(st.lists(_POLY_LINES,
+                                                            max_size=2))]))
+    vertex = draw(st.integers(-1, 4))
+    return map_text, str(vertex), "\n".join(poly)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_map_and_polygon_input(), json_output=st.booleans())
+def test_generated_maps_and_polygons_give_an_exit_code(tmp_path_factory,
+                                                       case, json_output):
+    map_text, vertex, poly_text = case
+    d = tmp_path_factory.getbasetemp()
+    mp, pp = str(d / "fuzz.map"), str(d / "fuzz.poly")
+    (d / "fuzz.map").write_text(map_text)
+    (d / "fuzz.poly").write_text(poly_text)
+    for argv in (["faces", mp], ["smooth", mp, vertex], ["reduce", mp],
+                 ["realize-torus", pp], ["realize-torus", pp, "--emit-map"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["--json"] * json_output + argv)
+        assert code in (0, 1, 2)

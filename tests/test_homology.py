@@ -4,9 +4,10 @@ from isonorm import census, coorient, homology
 from isonorm.homology import (class_of, coboundary, dual_graph, evaluate,
                               homology_basis, intersection_form,
                               smith_normal_form, vertex_circle)
+from isonorm.torus import TorusCollection, realize_map
 
-from _helpers import (FIGURE_EIGHT, STANDARD_SYMPLECTIC, TORUS_CROSS, WORDS,
-                      det_fraction, random_valid_map)
+from _helpers import (FIGURE_EIGHT, STANDARD_SYMPLECTIC, TORUS_CROSS,
+                      TORUS_FAMILIES, WORDS, det_fraction, random_valid_map)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,38 @@ class TestSmithNormalForm:
             mat = [[rng.randint(-5, 5) for _ in range(cols)]
                    for _ in range(rows)]
             self.test_factorization_certificate(mat)
+
+
+class TestSmithInverse:
+    """U^-1 carried through the Smith elimination against the Fraction
+    Gauss-Jordan inverse of U."""
+
+    @staticmethod
+    def check(mat):
+        u, d, v, uinv = homology._smith(mat)
+        assert (u, d, v) == smith_normal_form(mat)
+        assert uinv == homology.integer_inverse(u)
+        identity = [[int(i == j) for j in range(len(u))]
+                    for i in range(len(u))]
+        assert homology.matmul(u, uinv) == identity
+
+    def test_random_matrices(self, rng):
+        for _ in range(200):
+            rows = rng.randint(1, 6)
+            cols = rng.randint(1, 6)
+            self.check([[rng.randint(-5, 5) for _ in range(cols)]
+                        for _ in range(rows)])
+
+    def test_boundary_matrices(self, rng, census_builds):
+        maps = [b.map for b in census_builds]
+        maps += [realize_map(TorusCollection(f)) for f in TORUS_FAMILIES]
+        maps += [random_valid_map(rng, rng.randint(1, 5)) for _ in range(20)]
+        for m in maps:
+            # columns are the vertex circles in fundamental-cycle
+            # coordinates, as homology_basis builds them
+            boundary = homology_basis(m).boundary
+            if boundary[0]:
+                self.check([list(r) for r in zip(*boundary)])
 
 
 class TestHomologyBasis:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,10 @@ from isonorm.maps import (CombinatorialMap, MapError, MapParseError,
                           canonical_form, canonical_key, curves, from_strands,
                           isomorphic, parse_map, passages, serialize_map,
                           validate)
+from isonorm.torus import TorusCollection, realize_map
 
-from _helpers import (FIGURE_EIGHT, FIXTURES, TORUS_CROSS, WORDS,
-                      random_valid_map, strand_count_oracle)
+from _helpers import (FIGURE_EIGHT, FIXTURES, TORUS_CROSS, TORUS_FAMILIES,
+                      WORDS, random_valid_map, strand_count_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +177,72 @@ class TestIsomorphism:
             pair[perm[h]] = perm[m.pairing[h]]
         m2 = CombinatorialMap(tuple(rot), tuple(pair))
         assert canonical_key(m) == canonical_key(m2)
+
+
+def unpruned_key(m, allow_reflection):
+    """Least (rotation, pairing) over the full BFS relabellings from every
+    half-edge, of the map and, with reflection, of its mirror."""
+    n = m.n
+    mirror = [0] * n
+    for h in range(n):
+        mirror[m.rotation[h]] = h
+    rotations = [m.rotation, mirror] if allow_reflection else [m.rotation]
+    keys = []
+    for rotation in rotations:
+        for start in range(n):
+            label = {start: 0}
+            queue = [start]
+            for h in queue:
+                for g in (rotation[h], m.pairing[h]):
+                    if g not in label:
+                        label[g] = len(label)
+                        queue.append(g)
+            rot = [None] * n
+            pair = [None] * n
+            for h in range(n):
+                rot[label[h]] = label[rotation[h]]
+                pair[label[h]] = label[m.pairing[h]]
+            keys.append((tuple(rot), tuple(pair)))
+    return min(keys)
+
+
+def relabelled(m, perm):
+    rot = [0] * m.n
+    pair = [0] * m.n
+    for h in range(m.n):
+        rot[perm[h]] = perm[m.rotation[h]]
+        pair[perm[h]] = perm[m.pairing[h]]
+    return CombinatorialMap(tuple(rot), tuple(pair))
+
+
+class TestCanonicalKeyOracle:
+    """The pruned canonical key against the minimum over all starts."""
+
+    @pytest.fixture(scope="class")
+    def sample(self, census_builds):
+        rng = random.Random(20261018)
+        return ([b.map for b in census_builds]
+                + [realize_map(TorusCollection(f)) for f in TORUS_FAMILIES]
+                + [random_valid_map(rng, rng.randint(1, 6))
+                   for _ in range(100)])
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_key_equals_unpruned_minimum(self, sample, reflect):
+        for m in sample:
+            assert canonical_key(m, reflect) == unpruned_key(m, reflect)
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_isomorphic_iff_keys_agree(self, rng, sample, reflect):
+        small = [m for m in sample if m.num_vertices <= 3]
+        copies = []
+        for m in small:
+            perm = list(range(m.n))
+            rng.shuffle(perm)
+            copies.append(relabelled(m, perm))
+        for m1 in small:
+            for m2 in small + copies:
+                assert isomorphic(m1, m2, reflect)[0] == (
+                    canonical_key(m1, reflect) == canonical_key(m2, reflect))
 
 
 class TestTextFormat:
