@@ -75,10 +75,12 @@ def crossing_shifts(c1, c2, self_pair=False):
     """Translates k such that c2 shifted by k turns crosses c1, ascending.
 
     The chords cross iff exactly one endpoint of the shifted c2 lies
-    strictly inside c1.  Endpoint (side, h) does so for the k with
-    lo < h + SCALE * k < hi, a half-open range [first, stop) of k.  With
-    ``self_pair`` only k >= 1 is kept (each self-crossing of an arc
-    corresponds to one positive relative translate).
+    strictly inside c1 and neither lies on an endpoint of c1 (chords
+    sharing an endpoint only touch on the boundary).  Endpoint (side, h)
+    lies inside for the k with lo < h + SCALE * k < hi, a half-open range
+    [first, stop) of k.  With ``self_pair`` only k >= 1 is kept (each
+    self-crossing of an arc corresponds to one positive relative
+    translate).
     """
     ranges = []
     for side, h in c2:
@@ -90,7 +92,9 @@ def crossing_shifts(c1, c2, self_pair=False):
     floor = min(stop for _, stop in ranges)
     a, b = (set(range(floor if first is None else first, stop))
             for first, stop in ranges)
-    return sorted(k for k in a ^ b if k >= 1 or not self_pair)
+    shared = {(h1 - h) // SCALE for side, h in c2 for side1, h1 in c1
+              if side == side1 and (h1 - h) % SCALE == 0}
+    return sorted(k for k in (a ^ b) - shared if k >= 1 or not self_pair)
 
 
 def count_crossings(c1, c2):

@@ -15,8 +15,6 @@ standard symplectic pairing of the basis walks).
 
 from __future__ import annotations
 
-from itertools import product
-
 from . import annulus, coorient, homology, polytope
 from .annulus import Endpoint
 from .maps import (CombinatorialMap, canonical_key, from_strands, passages,
@@ -393,71 +391,85 @@ def _matching_to_word(matching, twists):
     return tuple(curves)
 
 
+def _three_crossing_matchings(window):
+    """Port matchings with twists from ``window`` whose connectors cross
+    exactly three times, as (matching, twists).
+
+    One depth-first search per matching places connector i after
+    connectors 0..i-1, trying the twists in window order, and keeps a
+    running total: each new chord adds its self-crossings and its
+    crossings with the chords already placed.  A prefix is dropped as
+    soon as the total exceeds three.  Per matching the twists come out
+    in the order of ``itertools.product(window, repeat=4)``.  Chords and
+    crossing counts are memoised by chord for the length of the search.
+    """
+    chords = {}
+    counts = {}
+
+    def crossings(c1, c2):
+        # connectors of one matching share no port, so c1 == c2 only
+        # when a chord meets itself
+        if (c1, c2) not in counts:
+            counts[c1, c2] = (annulus.count_self_crossings(c1) if c1 == c2
+                              else annulus.count_crossings(c1, c2))
+        return counts[c1, c2]
+
+    def extend(matching, twists, placed, total):
+        if len(twists) == len(matching):
+            if total == 3:
+                yield twists
+            return
+        u, v = matching[len(twists)]
+        for t in window:
+            if (u, v, t) not in chords:
+                chords[u, v, t] = annulus.chord(PORTS[u], PORTS[v],
+                                                t + _base(u, v))
+            c = chords[u, v, t]
+            more = total
+            for prev in (c,) + placed:
+                more += crossings(prev, c)
+                if more > 3:
+                    break
+            else:
+                yield from extend(matching, twists + (t,), placed + (c,),
+                                  more)
+
+    for matching in _perfect_matchings(_ALL_PORTS):
+        for twists in extend(matching, (), (), 0):
+            yield matching, twists
+
+
 def census(twist_bound=2):
     """One-faced collections with all twists in [-bound, bound].
 
-    Enumerates every port matching with twists in the window, keeps the
-    words with exactly three crossings, realizes them as maps, keeps the
+    Searches the port matchings with twists in the window for the words
+    with exactly three crossings, realizes them as maps, keeps the
     one-faced ones and deduplicates up to isomorphism with reflection.
     Returns a list of Genus2Build representatives sorted by curve count
     (descending), with separating-cycle and genus cross-checks applied.
+    These are the one-faced classes the word model reaches, not all of
+    them: :func:`exhaustive_unicellular_maps` lists six classes, and the
+    census finds four.
     """
     if twist_bound < 2:
         raise ValueError("twist_bound must be at least 2")
     window = range(-twist_bound, twist_bound + 1)
-    pair_cache = {}
-    self_cache = {}
     found = {}
-    for matching in _perfect_matchings(_ALL_PORTS):
-        ports = [(PORTS[u], PORTS[v]) for u, v in matching]
-        bases = [_base(u, v) for u, v in matching]
-        for twists in product(window, repeat=4):
-            total = 0
-            for i in range(4):
-                key = (matching[i], twists[i])
-                c = self_cache.get(key)
-                if c is None:
-                    c = annulus.count_self_crossings(
-                        annulus.chord(ports[i][0], ports[i][1],
-                                      twists[i] + bases[i]))
-                    self_cache[key] = c
-                total += c
-                if total > 3:
-                    break
-            if total > 3:
-                continue
-            for i in range(4):
-                if total > 3:
-                    break
-                for j in range(i + 1, 4):
-                    key = (matching[i], twists[i], matching[j], twists[j])
-                    c = pair_cache.get(key)
-                    if c is None:
-                        c = annulus.count_crossings(
-                            annulus.chord(ports[i][0], ports[i][1],
-                                          twists[i] + bases[i]),
-                            annulus.chord(ports[j][0], ports[j][1],
-                                          twists[j] + bases[j]))
-                        pair_cache[key] = c
-                    total += c
-                    if total > 3:
-                        break
-            if total != 3:
-                continue
-            word = _matching_to_word(matching, twists)
-            try:
-                build = word_to_map(word)
-            except WordError:
-                continue
-            m = build.map
-            if validate(m) or len(m.faces) != 1:
-                continue
-            key = canonical_key(m, allow_reflection=True)
-            # prefer representatives whose walks form a genuine basis
-            rank = (not build.standard_basis(), word_label(build.word))
-            prev = found.get(key)
-            if prev is None or rank < prev[0]:
-                found[key] = (rank, build)
+    for matching, twists in _three_crossing_matchings(window):
+        word = _matching_to_word(matching, twists)
+        try:
+            build = word_to_map(word)
+        except WordError:
+            continue
+        m = build.map
+        if validate(m) or len(m.faces) != 1:
+            continue
+        key = canonical_key(m, allow_reflection=True)
+        # prefer representatives whose walks form a genuine basis
+        rank = (not build.standard_basis(), word_label(build.word))
+        prev = found.get(key)
+        if prev is None or rank < prev[0]:
+            found[key] = (rank, build)
     reps = sorted((b for _, b in found.values()),
                   key=lambda b: (-len(b.word), word_label(b.word)))
     # both properties are isomorphism invariants: one check per class

@@ -425,6 +425,9 @@ def _transits(m, walks):
     Each step gets a globally unique crossing parameter on its edge; a
     transit is (face, entry position, exit position) with positions given as
     (occurrence index in the face orbit, parameter along that half-edge).
+    Step c of the T steps of all walks (counted from 1) crosses its edge
+    c / (T + 1) of the way along its half-edge; parameters are scaled by
+    T + 1, so that is c along the half-edge and T + 1 - c along its pair.
     """
     total = sum(len(w) for w in walks)
     pos_in_face = {}
@@ -432,24 +435,19 @@ def _transits(m, walks):
         for idx, h in enumerate(orb):
             pos_in_face[h] = idx
     out = []
-    counter = 0
+    first = 1  # step number of the walk's first step
     for w in walks:
-        transits = []
         k = len(w)
-        params = []
-        for h in w:
-            counter += 1
-            params.append(Fraction(counter, total + 1))
+        transits = []
         for i in range(k):
             h_in = w[i]
             h_out = w[(i + 1) % k]
-            lam_in = params[i]
-            lam_out = params[(i + 1) % k]
             f = m.face_of[m.pairing[h_in]]
-            entry = (pos_in_face[m.pairing[h_in]], 1 - lam_in)
-            exit_ = (pos_in_face[h_out], lam_out)
+            entry = (pos_in_face[m.pairing[h_in]], total + 1 - (first + i))
+            exit_ = (pos_in_face[h_out], first + (i + 1) % k)
             transits.append((f, entry, exit_))
         out.append(transits)
+        first += k
     return out
 
 

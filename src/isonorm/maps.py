@@ -297,41 +297,47 @@ def _inverse(perm):
 
 
 def isomorphic(m1, m2, allow_reflection=False):
-    """Decide map isomorphism; returns (bool, relabeling or None)."""
-    check_valid(m1)
-    check_valid(m2)
-    if m1.n != m2.n:
+    """Decide map isomorphism; returns (bool, relabeling or None).
+
+    The maps are isomorphic iff their canonical keys agree, and then phi
+    sends the k-th half-edge of m1's winning BFS order to the k-th of
+    m2's.  With ``allow_reflection`` phi may reverse the orientation
+    (phi o rot1 = rot2^-1 o phi); it always commutes with the pairings.
+    """
+    key1, order1 = _canonical_labelling(m1, allow_reflection)
+    key2, order2 = _canonical_labelling(m2, allow_reflection)
+    if key1 != key2:
         return False, None
-    # an isomorphism maps the BFS labelling of m1 from half-edge 0 onto
-    # the BFS labelling of m2 from the image of 0
-    key1, order1 = _relabel(m1.rotation, m1.pairing, 0)
-    reflections = (False, True) if allow_reflection else (False,)
-    for reflect in reflections:
-        rot2 = _inverse(m2.rotation) if reflect else m2.rotation
-        for image0 in range(m2.n):
-            key2, order2 = _relabel(rot2, m2.pairing, image0)
-            if key2 == key1:
-                phi = [0] * m1.n
-                for h1, h2 in zip(order1, order2):
-                    phi[h1] = h2
-                return True, phi
-    return False, None
+    phi = [0] * m1.n
+    for h1, h2 in zip(order1, order2):
+        phi[h1] = h2
+    return True, phi
 
 
 def canonical_key(m, allow_reflection=True):
     """Canonical invariant of the isomorphism class (hashable).
 
     The key is the least relabelled (rotation, pairing) over the BFS
-    relabellings from every start (see :func:`_relabel`), also of the
-    mirror map when ``allow_reflection``.  Each relabelled rotation is
-    emitted label by label during its BFS and compared with the best so
-    far, so a start is dropped at the first label where it is larger; the
-    pairing is built only for starts that survive.
+    relabellings from every start, also of the mirror map when
+    ``allow_reflection``; a BFS relabelling gives the k-th half-edge it
+    reaches the label k, looking at rotation before pairing.
+    """
+    return _canonical_labelling(m, allow_reflection)[0]
+
+
+def _canonical_labelling(m, allow_reflection):
+    """The canonical key and the BFS order (old half-edges by new label)
+    of a relabelling that gives it.
+
+    Each relabelled rotation is emitted label by label during its BFS and
+    compared with the best so far, so a start is dropped at the first
+    label where it is larger; the pairing is built only for starts that
+    survive.
     """
     check_valid(m)
     n = m.n
     pairing = m.pairing
-    best = None
+    best = best_order = None
     reflections = (False, True) if allow_reflection else (False,)
     for reflect in reflections:
         rotation = _inverse(m.rotation) if reflect else m.rotation
@@ -359,31 +365,8 @@ def canonical_key(m, allow_reflection=True):
                 key = (tuple(rot_new),
                        tuple(label[pairing[h]] for h in order))
                 if less or key[1] < best[1]:
-                    best = key
-    return best
-
-
-def _relabel(rotation, pairing, start):
-    """Relabelling in BFS order from start: the relabelled (rotation,
-    pairing) and the BFS order of the old labels."""
-    n = len(rotation)
-    label = [-1] * n
-    label[start] = 0
-    order = [start]
-    queue = deque([start])
-    while queue:
-        h = queue.popleft()
-        for g in (rotation[h], pairing[h]):
-            if label[g] == -1:
-                label[g] = len(order)
-                order.append(g)
-                queue.append(g)
-    rot_new = [0] * n
-    pair_new = [0] * n
-    for h in range(n):
-        rot_new[label[h]] = label[rotation[h]]
-        pair_new[label[h]] = label[pairing[h]]
-    return (tuple(rot_new), tuple(pair_new)), order
+                    best, best_order = key, order
+    return best, best_order
 
 
 def canonical_form(m, allow_reflection=True):

@@ -16,6 +16,7 @@ once per residue modulo det(d1, d2) (see :func:`_line_crossings`).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd
 
@@ -74,27 +75,20 @@ def check_polygon(p):
 
 
 def _boundary_cycle(p):
-    """Vertices of a 2-polygon in CCW order (a segment gives its two ends)."""
+    """Vertices of a centrally symmetric 2-polygon in CCW order (a segment
+    gives its two ends), sorted by angle about its centre, the origin."""
     verts = list(p.vertices)
     if len(verts) <= 2:
         return verts
-    cx = Fraction(sum(v[0] for v in verts), len(verts))
-    cy = Fraction(sum(v[1] for v in verts), len(verts))
 
     def half(v):
-        dy = v[1] - cy
-        return 0 if dy > 0 or (dy == 0 and v[0] - cx > 0) else 1
-
-    def cross(u, v):
-        return ((u[0] - cx) * (v[1] - cy) - (u[1] - cy) * (v[0] - cx))
-
-    import functools
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
 
     def cmp(u, v):
         hu, hv = half(u), half(v)
         if hu != hv:
             return hu - hv
-        c = cross(u, v)
+        c = u[0] * v[1] - u[1] * v[0]
         return -1 if c > 0 else (1 if c < 0 else 0)
 
     return sorted(verts, key=functools.cmp_to_key(cmp))

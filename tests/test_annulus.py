@@ -19,7 +19,8 @@ class ScanOracle:
 
     Boundary positions increase down the left side, then up the right
     side; a chord crosses the fixed one iff exactly one of its endpoints
-    lies strictly between the fixed chord's endpoints.
+    lies strictly between the fixed chord's endpoints and neither is an
+    endpoint of the fixed chord (there the chords only touch).
     """
 
     WINDOW = range(-20, 21)
@@ -33,18 +34,24 @@ class ScanOracle:
         side, h = p
         return (0, -h) if side == "L" else (1, h)
 
-    def inside_shifts(self, p):
+    def moves(self, p):
+        """Shifts putting p strictly inside the fixed chord, and shifts
+        putting it on one of the chord's endpoints."""
         if p not in self.cache:
             side, h = p
-            self.cache[p] = frozenset(
-                k for k in self.WINDOW
-                if self.a < self.position((side, h + annulus.SCALE * k))
-                < self.b)
+            inside, on = set(), set()
+            for k in self.WINDOW:
+                q = self.position((side, h + annulus.SCALE * k))
+                if self.a < q < self.b:
+                    inside.add(k)
+                elif q in (self.a, self.b):
+                    on.add(k)
+            self.cache[p] = (inside, on)
         return self.cache[p]
 
     def shifts(self, c2, self_pair=False):
-        crossing = sorted(self.inside_shifts(c2[0])
-                          ^ self.inside_shifts(c2[1]))
+        (inside0, on0), (inside1, on1) = self.moves(c2[0]), self.moves(c2[1])
+        crossing = sorted((inside0 ^ inside1) - on0 - on1)
         return [k for k in crossing if k >= 1] if self_pair else crossing
 
 
@@ -133,6 +140,15 @@ class TestArcFormulas:
 
 
 class TestChordModel:
+    def test_shared_endpoint_is_no_crossing(self):
+        c1 = (Endpoint("L", 2), Endpoint("L", 13))
+        c2 = (Endpoint("L", 2), Endpoint("L", 4))
+        # shift 0 shares L2 and shift 1 shares L13; neither crosses
+        for k in (0, 1):
+            assert segment_intersection(c1, chord(*c2, 0, shift=k)) is None
+        assert crossing_shifts(c1, c2) == []
+        assert count_crossings(c1, c2) == 0
+
     def test_crossing_count_is_symmetric(self):
         c1 = chord(Endpoint("L", 6), Endpoint("R", 3), 2)
         c2 = chord(Endpoint("L", 3), Endpoint("R", 6), -1)
@@ -173,8 +189,9 @@ class TestChordModel:
         assert c[1].height == 3 + 3 * annulus.SCALE
 
     def test_crossing_shifts_match_geometry(self):
-        # the straight disk chords cross exactly at the listed shifts;
-        # chords of the census never share a port, so neither do these
+        # the straight disk chords cross exactly at the listed shifts,
+        # also where the chords share a port: a translate sharing an
+        # endpoint only touches the fixed chord
         ports = [Endpoint(s, h) for s in "LR" for h in (3, 6)]
         window = range(-6, 7)
         for p1 in ports:
@@ -190,8 +207,6 @@ class TestChordModel:
                             c1, chord(p1, q1, t1, shift=k)) is not None]
                     for p2 in ports:
                         for q2 in ports:
-                            if len({p1, q1, p2, q2}) < 4:
-                                continue
                             for t2 in (-1, 0, 1):
                                 shifts = crossing_shifts(
                                     c1, chord(p2, q2, t2))

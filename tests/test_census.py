@@ -1,6 +1,8 @@
+from itertools import product
+
 import pytest
 
-from isonorm import census, polytope
+from isonorm import annulus, census, coorient, homology, polytope
 from isonorm.cli import parse_walks
 from isonorm.census import (WordError, canonical_word, census as run_census,
                             exhaustive_unicellular_maps, has_separating_cycle,
@@ -124,7 +126,50 @@ class TestWordToMap:
                          (("a2", 1, 0), ("b2", -1, 0))))
 
 
+def product_oracle(twist_bound):
+    """(matching, twists) with exactly three crossings, found by testing
+    every twist tuple of the window on every port matching."""
+    window = range(-twist_bound, twist_bound + 1)
+    pair_cache = {}
+    self_cache = {}
+    out = []
+    for matching in census._perfect_matchings(census._ALL_PORTS):
+        ports = [(census.PORTS[u], census.PORTS[v]) for u, v in matching]
+        bases = [census._base(u, v) for u, v in matching]
+        for twists in product(window, repeat=4):
+            total = 0
+            for i in range(4):
+                key = (matching[i], twists[i])
+                if key not in self_cache:
+                    self_cache[key] = annulus.count_self_crossings(
+                        annulus.chord(ports[i][0], ports[i][1],
+                                      twists[i] + bases[i]))
+                total += self_cache[key]
+            if total > 3:
+                continue
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    key = (matching[i], twists[i], matching[j], twists[j])
+                    if key not in pair_cache:
+                        pair_cache[key] = annulus.count_crossings(
+                            annulus.chord(ports[i][0], ports[i][1],
+                                          twists[i] + bases[i]),
+                            annulus.chord(ports[j][0], ports[j][1],
+                                          twists[j] + bases[j]))
+                    total += pair_cache[key]
+            if total == 3:
+                out.append((matching, twists))
+    return out
+
+
 class TestCensus:
+    @pytest.mark.parametrize("bound, count", [(2, 2581), (3, 3957)])
+    def test_search_matches_product_oracle(self, bound, count):
+        window = range(-bound, bound + 1)
+        found = list(census._three_crossing_matchings(window))
+        assert len(found) == count
+        assert found == product_oracle(bound)
+
     def test_exactly_four_classes(self, census_reps):
         assert len(census_reps) == 4
 
@@ -183,6 +228,25 @@ class TestExhaustiveMaps:
         counts = sorted(len(map_curves(m))
                         for m in exhaustive_unicellular_maps())
         assert counts == [1, 2, 2, 3, 3, 4]
+
+    def test_balls_and_separating_cycles(self):
+        balls = []
+        for m in exhaustive_unicellular_maps():
+            assert not has_separating_cycle(m)
+            walks = homology.homology_basis(m).walks
+            balls.append(polytope.convex_hull(
+                coorient.eulco_classes(m, walks)))
+        assert sorted(len(b.vertices) for b in balls) == \
+            [10, 10, 12, 12, 16, 16]
+        assert not any(polytope.is_p8(b) for b in balls)
+
+    def test_classes_the_census_misses(self, census_reps):
+        found = {canonical_key(b.map, allow_reflection=True)
+                 for b in census_reps}
+        missed = [sorted(len(c) for c in map_curves(m))
+                  for m in exhaustive_unicellular_maps()
+                  if canonical_key(m, allow_reflection=True) not in found]
+        assert sorted(missed) == [[1, 1, 2, 2], [1, 2, 3]]
 
 
 class TestSeparatingCycles:

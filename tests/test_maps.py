@@ -144,12 +144,30 @@ class TestIsomorphism:
         assert phi[0] == 0 or sorted(phi) == list(range(m.n))
 
     def test_reflection_is_isomorphic_with_flag(self, census_builds):
+        # census maps are achiral, so the witness may keep or reverse the
+        # orientation
         m = census_builds[3].map
-        inv = [0] * m.n
-        for h in range(m.n):
-            inv[m.rotation[h]] = h
-        mirror = CombinatorialMap(tuple(inv), m.pairing)
-        assert isomorphic(m, mirror, allow_reflection=True)[0]
+        mirror = mirrored(m)
+        ok, phi = isomorphic(m, mirror, allow_reflection=True)
+        assert ok
+        assert is_witness(m, mirror, phi, reflect=True)
+
+    def test_reflection_witness_of_a_chiral_map(self):
+        m1 = realize_map(TorusCollection(TORUS_FAMILIES[1]))
+        m2 = mirrored(m1)
+        assert isomorphic(m1, m2) == (False, None)
+        ok, phi = isomorphic(m1, m2, allow_reflection=True)
+        assert ok
+        assert sorted(phi) == list(range(m1.n))
+        inv2 = m1.rotation  # the inverse of the mirror's rotation
+        for h in range(m1.n):
+            assert phi[m1.rotation[h]] == inv2[phi[h]]
+            assert phi[m1.pairing[h]] == m2.pairing[phi[h]]
+
+    def test_different_sizes_are_not_isomorphic(self, census_builds):
+        for reflect in (False, True):
+            assert isomorphic(census_builds[0].map, TORUS_CROSS, reflect) \
+                == (False, None)
 
     def test_two_curve_census_classes_differ(self, census_builds):
         ok, _ = isomorphic(census_builds[1].map, census_builds[2].map,
@@ -179,14 +197,32 @@ class TestIsomorphism:
         assert canonical_key(m) == canonical_key(m2)
 
 
+def mirrored(m):
+    """The map with every rotation reversed."""
+    inv = [0] * m.n
+    for h in range(m.n):
+        inv[m.rotation[h]] = h
+    return CombinatorialMap(tuple(inv), m.pairing)
+
+
+def is_witness(m1, m2, phi, reflect):
+    """Whether phi is an isomorphism from m1 onto m2, or with ``reflect``
+    onto m2 or its mirror."""
+    if sorted(phi) != list(range(m1.n)) or any(
+            phi[m1.pairing[h]] != m2.pairing[phi[h]] for h in range(m1.n)):
+        return False
+    turned = [phi[m1.rotation[h]] for h in range(m1.n)]
+    rotations = [m2.rotation] + ([mirrored(m2).rotation] if reflect else [])
+    return any(turned == [rot[phi[h]] for h in range(m1.n)]
+               for rot in rotations)
+
+
 def unpruned_key(m, allow_reflection):
     """Least (rotation, pairing) over the full BFS relabellings from every
     half-edge, of the map and, with reflection, of its mirror."""
     n = m.n
-    mirror = [0] * n
-    for h in range(n):
-        mirror[m.rotation[h]] = h
-    rotations = [m.rotation, mirror] if allow_reflection else [m.rotation]
+    rotations = [m.rotation, mirrored(m).rotation] if allow_reflection \
+        else [m.rotation]
     keys = []
     for rotation in rotations:
         for start in range(n):
@@ -239,10 +275,12 @@ class TestCanonicalKeyOracle:
             perm = list(range(m.n))
             rng.shuffle(perm)
             copies.append(relabelled(m, perm))
+        keys = {id(m): unpruned_key(m, reflect) for m in small + copies}
         for m1 in small:
             for m2 in small + copies:
-                assert isomorphic(m1, m2, reflect)[0] == (
-                    canonical_key(m1, reflect) == canonical_key(m2, reflect))
+                ok, phi = isomorphic(m1, m2, reflect)
+                assert ok == (keys[id(m1)] == keys[id(m2)])
+                assert not ok or is_witness(m1, m2, phi, reflect)
 
 
 class TestTextFormat:

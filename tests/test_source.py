@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 from isonorm import maps
@@ -13,3 +14,27 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(p.read_text(), str(p)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _resolve(dotted):
+    """The library object named 'layer.name' or 'layer.Class.method',
+    or None when some part of the name is missing."""
+    layer, qualname = dotted.split(".", 1)
+    obj = importlib.import_module("isonorm." + layer)
+    for attr in qualname.split("."):
+        obj = getattr(obj, attr, None)
+    return obj
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's tracer wraps these names with getattr, so a deleted
+    # or renamed one breaks a traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = ["%s.%s" % (layer, qualname)
+             for layer, qualnames in tracing.TRACED.items()
+             for qualname in qualnames] + list(tracing.HOOKS)
+    assert len(names) > 30
+    assert [n for n in names if not callable(_resolve(n))] == []
