@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from . import annulus, coorient, homology, polytope
 from .annulus import Endpoint
-from .maps import (CombinatorialMap, canonical_key, from_strands, passages,
-                   validate)
+from .maps import (CombinatorialMap, InvalidMap, canonical_key, from_strands,
+                   passages)
 
 LETTERS = ("a1", "b1", "a2", "b2")
 
@@ -244,9 +244,8 @@ def word_to_map(curves):
         for j in range(i, len(chords)):
             for k in annulus.crossing_shifts(ci, chords[j],
                                              self_pair=(i == j)):
-                shifted = tuple(Endpoint(s, h + annulus.SCALE * k)
-                                for s, h in chords[j])
-                hit = annulus.segment_intersection(ci, shifted)
+                hit = annulus.segment_intersection(
+                    ci, annulus.chord(*chords[j], 0, shift=k))
                 if hit is None:
                     raise AssertionError(
                         "chords %r and %r shifted by %d do not cross"
@@ -459,10 +458,10 @@ def census(twist_bound=2):
         word = _matching_to_word(matching, twists)
         try:
             build = word_to_map(word)
-        except WordError:
+        except (WordError, InvalidMap):
             continue
         m = build.map
-        if validate(m) or len(m.faces) != 1:
+        if len(m.faces) != 1:
             continue
         key = canonical_key(m, allow_reflection=True)
         # prefer representatives whose walks form a genuine basis
@@ -496,8 +495,11 @@ def exhaustive_unicellular_maps():
         for a, b in match:
             pairing[a] = b
             pairing[b] = a
-        m = CombinatorialMap(tuple(rot), tuple(pairing))
-        if validate(m) or len(m.faces) != 1:
+        try:
+            m = CombinatorialMap(tuple(rot), tuple(pairing))
+        except InvalidMap:
+            continue
+        if len(m.faces) != 1:
             continue
         key = canonical_key(m, allow_reflection=True)
         if key not in out:

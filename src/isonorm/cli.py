@@ -35,9 +35,8 @@ def _load_map(path):
         m, _ = maps.parse_map(_read(path))
     except maps.MapParseError as exc:
         raise ParseFailure("%s: %s" % (path, exc))
-    diags = maps.validate(m)
-    if diags:
-        raise DomainFailure("%s: invalid map: %s" % (path, "; ".join(diags)))
+    except maps.InvalidMap as exc:
+        raise DomainFailure("%s: invalid map: %s" % (path, exc))
     return m
 
 
@@ -122,8 +121,8 @@ def _cmd_validate(args):
         m, _ = maps.parse_map(_read(args.map))
     except maps.MapParseError as exc:
         raise ParseFailure("%s: %s" % (args.map, exc))
-    diags = maps.validate(m)
-    if diags:
+    except maps.InvalidMap as exc:
+        diags = exc.diagnostics
         _emit(args, "invalid\n" + "".join(d + "\n" for d in diags),
               {"valid": False, "diagnostics": diags})
         return 1
@@ -176,7 +175,7 @@ def _cmd_norm(args):
     a = tuple(args.coord)
     if len(a) != len(basis):
         raise DomainFailure("class vector needs %d coordinates" % len(basis))
-    ball = polytope.convex_hull(coorient.eulco_classes(m, basis))
+    ball = moves.dual_ball(m, basis)
     value = polytope.support(ball, a)
     _emit(args, "%d\n" % value, {"norm": value})
     return 0

@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import Counter
 from operator import add
 
-from .maps import check_valid
 from . import homology
 
 
@@ -88,21 +87,19 @@ def vertex_type(m, nu, v):
     return "alternating" if signs[0] == signs[2] else "non-alternating"
 
 
-def from_curve_orientations(m, flips=None):
+def from_curve_orientations(m):
     """Co-orientation induced by orienting every curve of the map.
 
     Each edge's designated half-edge is the one pointing along the curve's
-    traversal direction; ``flips`` optionally reverses individual curves by
-    strand index.  The result is Eulerian with all vertices non-alternating.
+    traversal direction.  The result is Eulerian with all vertices
+    non-alternating.
     """
     from .maps import curves
 
-    flips = set(flips or ())
     designated = [None] * m.num_edges
-    for i, strand in enumerate(curves(m)):
+    for strand in curves(m):
         for h in strand:
-            g = m.pairing[h] if i in flips else h
-            designated[m.edge_index(h)] = g
+            designated[m.edge_index(h)] = h
     return CoOrientation(m, designated)
 
 
@@ -113,7 +110,6 @@ def enumerate_eulerian(m):
     a partial assignment is pruned as soon as some vertex can no longer end
     up with exactly two designated germs.
     """
-    check_valid(m)
     order = _edge_decision_order(m)
     ne = m.num_edges
     # per-vertex counters: designated germs so far, germs still undecided
@@ -181,7 +177,6 @@ def brute_force_eulerian(m):
     """All Eulerian co-orientations by filtering every 2^|E| assignment."""
     from itertools import product
 
-    check_valid(m)
     results = []
     for combo in product(*m.edges):
         if is_eulerian(m, combo):
@@ -220,11 +215,9 @@ def eulco_classes(m, basis=None):
     equal states merge, so the work follows the number of distinct states,
     not the number of Eulerian co-orientations.
     """
-    check_valid(m)
     if basis is None:
         basis = homology.homology_basis(m)
-    walks = basis.walks if isinstance(basis, homology.HomologyBasis) \
-        else basis
+    walks = tuple(basis)
     steps = []
     for i, w in enumerate(walks):
         for h in w:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .maps import MapError, check_valid
+from .maps import MapError
 
 
 class WalkError(Exception):
@@ -104,8 +104,7 @@ def class_of(m, cochain, basis):
     """Evaluations of a cocycle on the basis walks."""
     if not is_cocycle(m, cochain):
         raise ValueError("cochain is not a cocycle (vertex condition fails)")
-    walks = basis.walks if isinstance(basis, HomologyBasis) else basis
-    return tuple(sum(cochain[h] for h in w) for w in walks)
+    return tuple(sum(cochain[h] for h in w) for w in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +115,6 @@ class DualGraph:
     """Nodes are faces; one link per edge joining its two adjacent faces."""
 
     def __init__(self, m):
-        check_valid(m)
         self.map = m
         self.num_nodes = len(m.faces)
         # link i corresponds to edge i = (a, b); crossing right-to-left of a
@@ -296,6 +294,9 @@ class HomologyBasis:
     def __len__(self):
         return len(self.walks)
 
+    def __iter__(self):
+        return iter(self.walks)
+
 
 def _spanning_tree(dg):
     """BFS spanning tree from node 0, exploring links in id order.
@@ -363,7 +364,6 @@ def walk_cycle_coords(m, walk, nontree):
 
 def homology_basis(m):
     """Deterministic basis of H_1(surface) as 2g dual walks."""
-    check_valid(m)
     dg = dual_graph(m)
     parent_step, tree = _spanning_tree(dg)
     nontree = [e for e in range(len(dg.links)) if e not in tree]
@@ -478,7 +478,7 @@ def _transit_crossing(t1, t2):
 
 def intersection_form(m, basis):
     """Matrix of algebraic intersections of the basis walks."""
-    walks = basis.walks if isinstance(basis, HomologyBasis) else basis
+    walks = tuple(basis)
     for w in walks:
         check_walk(m, w)
     realized = _transits(m, walks)

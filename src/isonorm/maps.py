@@ -6,6 +6,11 @@ permutation whose orbits (all of size 4) are the vertices listed in
 counterclockwise order, and a fixed-point-free pairing involution whose
 orbits are the edges.
 
+Maps are valid by construction: building a ``CombinatorialMap`` from a bad
+rotation or pairing (orbits not of size 4, a pairing that is not a
+fixed-point-free involution, a disconnected map) raises ``InvalidMap``,
+and ``validate`` lists why.
+
 Convention: the face permutation is rotation o pairing; its orbit through a
 half-edge h traces the face lying to the *right* of h (h viewed as pointing
 away from its vertex).
@@ -14,10 +19,20 @@ away from its vertex).
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 
 
 class MapError(Exception):
-    """Raised when an operation is applied to an invalid map."""
+    """Raised when a map cannot be built or an operation on it fails."""
+
+
+class InvalidMap(MapError):
+    """Raised when a rotation and pairing do not form a valid map; the
+    reasons are in ``diagnostics``, as :func:`validate` lists them."""
+
+    def __init__(self, diagnostics):
+        super().__init__("; ".join(diagnostics))
+        self.diagnostics = diagnostics
 
 
 class MapParseError(Exception):
@@ -41,14 +56,15 @@ def _orbits(perm):
 
 
 class CombinatorialMap:
-    """Immutable 4-valent map on an oriented surface."""
+    """Immutable 4-valent map on an oriented surface; raises InvalidMap
+    unless the rotation and pairing form a valid map."""
 
     def __init__(self, rotation, pairing):
         self.rotation = tuple(rotation)
         self.pairing = tuple(pairing)
-        self._faces = None
-        self._vertices = None
-        self._edges = None
+        diags = validate(self)
+        if diags:
+            raise InvalidMap(diags)
 
     def __eq__(self, other):
         return (isinstance(other, CombinatorialMap)
@@ -75,68 +91,51 @@ class CombinatorialMap:
     def num_edges(self):
         return self.n // 2
 
-    @property
+    @cached_property
     def vertices(self):
         """Rotation orbits, each a CCW-ordered 4-tuple of half-edges."""
-        if self._vertices is None:
-            self._vertices = _orbits(self.rotation)
-        return self._vertices
+        return _orbits(self.rotation)
 
-    @property
+    @cached_property
     def edges(self):
         """Pairing orbits as (h, pairing[h]) with h the smaller id."""
-        if self._edges is None:
-            self._edges = tuple(
-                (h, self.pairing[h]) for h in range(self.n)
-                if h < self.pairing[h])
-        return self._edges
+        return tuple((h, self.pairing[h]) for h in range(self.n)
+                     if h < self.pairing[h])
 
     def edge_index(self, h):
         """Index into self.edges of the edge containing half-edge h."""
         return self._edge_of[h]
 
-    @property
+    @cached_property
     def _edge_of(self):
-        eo = getattr(self, "_edge_of_cache", None)
-        if eo is None:
-            eo = [0] * self.n
-            for i, (a, b) in enumerate(self.edges):
-                eo[a] = eo[b] = i
-            self._edge_of_cache = eo
+        eo = [0] * self.n
+        for i, (a, b) in enumerate(self.edges):
+            eo[a] = eo[b] = i
         return eo
 
-    @property
+    @cached_property
     def vertex_of(self):
-        vo = getattr(self, "_vertex_of_cache", None)
-        if vo is None:
-            vo = [0] * self.n
-            for i, orb in enumerate(self.vertices):
-                for h in orb:
-                    vo[h] = i
-            self._vertex_of_cache = vo
+        vo = [0] * self.n
+        for i, orb in enumerate(self.vertices):
+            for h in orb:
+                vo[h] = i
         return vo
 
-    @property
+    @cached_property
     def faces(self):
         """Orbits of the face permutation rotation o pairing.
 
         The orbit through h walks the boundary of the face to the right of
         h, moving along each edge in the direction of the half-edge visited.
         """
-        if self._faces is None:
-            fp = [self.rotation[self.pairing[h]] for h in range(self.n)]
-            self._faces = _orbits(fp)
-        return self._faces
+        return _orbits([self.rotation[self.pairing[h]] for h in range(self.n)])
 
-    @property
+    @cached_property
     def face_of(self):
-        fo = getattr(self, "_face_of_cache", None)
-        if fo is None:
-            fo = [0] * self.n
-            for i, orb in enumerate(self.faces):
-                for h in orb:
-                    fo[h] = i
-            self._face_of_cache = fo
+        fo = [0] * self.n
+        for i, orb in enumerate(self.faces):
+            for h in orb:
+                fo[h] = i
         return fo
 
     def strand_next(self, h):
@@ -151,9 +150,6 @@ class CombinatorialMap:
 
     @property
     def genus(self):
-        diags = validate(self)
-        if diags:
-            raise MapError("; ".join(diags))
         chi = self.num_vertices - self.num_edges + len(self.faces)
         if chi % 2 or chi > 2:
             raise AssertionError("Euler characteristic %d of a valid map"
@@ -220,7 +216,11 @@ def from_strands(signs, strands):
 
 
 def validate(m):
-    """Return a list of invariant violations (empty iff the map is valid)."""
+    """Return a list of invariant violations (empty iff the map is valid).
+
+    The constructor of :class:`CombinatorialMap` runs it and raises
+    InvalidMap on any violation, so every map object has passed it.
+    """
     diags = []
     n = len(m.rotation)
     if n == 0 or n % 4 != 0:
@@ -260,12 +260,6 @@ def _connected(m):
     return count == n
 
 
-def check_valid(m):
-    diags = validate(m)
-    if diags:
-        raise MapError("; ".join(diags))
-
-
 def curves(m):
     """Closed strands of the map, each a cyclic tuple of half-edges.
 
@@ -273,7 +267,6 @@ def curves(m):
     traversal); strands partition the edge set and correspond to the closed
     curves of the encoded collection.
     """
-    check_valid(m)
     seen = set()
     out = []
     for start in range(m.n):
@@ -334,7 +327,6 @@ def _canonical_labelling(m, allow_reflection):
     label where it is larger; the pairing is built only for starts that
     survive.
     """
-    check_valid(m)
     n = m.n
     pairing = m.pairing
     best = best_order = None

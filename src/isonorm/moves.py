@@ -15,7 +15,7 @@ transports.
 
 from __future__ import annotations
 
-from .maps import CombinatorialMap, MapError, check_valid, validate
+from .maps import CombinatorialMap, InvalidMap, MapError
 from . import homology, coorient, polytope
 
 
@@ -44,7 +44,6 @@ class SmoothingResult:
 
 def smooth(m, vertex):
     """Both reconnections of the map at the given vertex."""
-    check_valid(m)
     if not (0 <= vertex < m.num_vertices):
         raise ValueError("vertex %d out of range" % vertex)
     h0, h1, h2, h3 = m.vertices[vertex]
@@ -100,10 +99,10 @@ def _reconnect(m, vertex, joins):
         rotation[relabel[g]] = relabel[m.rotation[g]]
     for g in outside:
         pairing[relabel[g]] = relabel[chain_end[g]]
-    child = CombinatorialMap(rotation, pairing)
-    diags = validate(child)
-    if diags:
-        return Child(None, True, "; ".join(diags), None)
+    try:
+        child = CombinatorialMap(rotation, pairing)
+    except InvalidMap as exc:
+        return Child(None, True, str(exc), None)
 
     # step transport: a parent step at germ q (crossing right-to-left of q)
     # maps to the child germ whose chain traverses edge(q) in q's direction
@@ -128,8 +127,7 @@ def eulco_union_check(m, vertex, basis=None):
     """
     if basis is None:
         basis = homology.homology_basis(m)
-    walks = basis.walks if isinstance(basis, homology.HomologyBasis) \
-        else tuple(basis)
+    walks = tuple(basis)
     result = smooth(m, vertex)
     if any(c.degenerate for c in result.children):
         reasons = [c.reason for c in result.children if c.degenerate]
@@ -166,7 +164,6 @@ def reduce_map(m):
     Returns (reduced_map, trace) with trace a list of
     (vertex, child_index) steps taken on the successive maps.
     """
-    check_valid(m)
     current = m
     trace = []
     while len(current.faces) > 1:

@@ -19,7 +19,7 @@ class DimensionError(ValueError):
 class LatticePolytope:
     """Convex hull of integer vectors, stored by its vertex set."""
 
-    def __init__(self, vertices, ambient_dim=None):
+    def __init__(self, vertices):
         verts = sorted({tuple(int(x) for x in v) for v in vertices})
         if not verts:
             raise ValueError("a polytope needs at least one point")
@@ -27,8 +27,6 @@ class LatticePolytope:
         if len(dims) != 1:
             raise DimensionError("points of mixed dimension")
         self.ambient_dim = dims.pop()
-        if ambient_dim is not None and ambient_dim != self.ambient_dim:
-            raise DimensionError("ambient dimension mismatch")
         self.vertices = tuple(verts)
 
     @property

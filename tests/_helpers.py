@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
-from isonorm.maps import CombinatorialMap
+from isonorm.maps import CombinatorialMap, InvalidMap
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -63,6 +63,11 @@ REDUCIBLE_F3 = CombinatorialMap(
 EVEN_F2 = CombinatorialMap((3, 0, 1, 2, 6, 7, 5, 4),
                            (6, 4, 7, 5, 1, 3, 0, 2))
 
+# vertex 0 between two vertices that each carry a loop: one smoothing at
+# vertex 0 disconnects them, the other joins them (V=3, sphere)
+CHAIN = CombinatorialMap((1, 2, 3, 0, 5, 6, 7, 4, 9, 10, 11, 8),
+                         (4, 7, 8, 11, 0, 6, 5, 1, 2, 10, 9, 3))
+
 # torus collections as (primitive class, multiplicity) families; their
 # maps have 3 to 17 vertices
 TORUS_FAMILIES = (
@@ -91,10 +96,10 @@ def random_valid_map(rng, num_vertices):
             a, b = ids[i], ids[i + 1]
             pairing[a] = b
             pairing[b] = a
-        m = CombinatorialMap(tuple(rotation), tuple(pairing))
-        from isonorm.maps import validate
-        if not validate(m):
-            return m
+        try:
+            return CombinatorialMap(tuple(rotation), tuple(pairing))
+        except InvalidMap:
+            pass
 
 
 # Independent oracles ------------------------------------------------------

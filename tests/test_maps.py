@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from isonorm import census
-from isonorm.maps import (CombinatorialMap, MapError, MapParseError,
-                          canonical_form, canonical_key, curves, from_strands,
-                          isomorphic, parse_map, passages, serialize_map,
-                          validate)
+from isonorm.maps import (CombinatorialMap, InvalidMap, MapError,
+                          MapParseError, canonical_form, canonical_key, curves,
+                          from_strands, isomorphic, parse_map, passages,
+                          serialize_map, validate)
 from isonorm.torus import TorusCollection, realize_map
 
 from _helpers import (FIGURE_EIGHT, FIXTURES, TORUS_CROSS, TORUS_FAMILIES,
@@ -25,22 +25,24 @@ class TestValidate:
             assert validate(build.map) == []
 
     def test_pairing_fixed_point_is_reported(self):
-        m = CombinatorialMap((1, 2, 3, 0), (0, 1, 3, 2))
-        diags = validate(m)
-        assert any("fixes half-edge" in d for d in diags)
+        with pytest.raises(InvalidMap) as exc:
+            CombinatorialMap((1, 2, 3, 0), (0, 1, 3, 2))
+        assert any("fixes half-edge" in d for d in exc.value.diagnostics)
 
     def test_disconnected_components_are_reported(self):
         # two disjoint copies of the one-vertex torus map
         rot = (1, 2, 3, 0, 5, 6, 7, 4)
         pair = (2, 3, 0, 1, 6, 7, 4, 5)
-        diags = validate(CombinatorialMap(rot, pair))
-        assert any("disconnected" in d for d in diags)
+        with pytest.raises(InvalidMap) as exc:
+            CombinatorialMap(rot, pair)
+        assert any("disconnected" in d for d in exc.value.diagnostics)
 
     def test_oversized_rotation_orbit_is_reported(self):
         rot = (1, 2, 3, 4, 5, 6, 7, 0)  # one orbit of size 8
         pair = (2, 3, 0, 1, 6, 7, 4, 5)
-        diags = validate(CombinatorialMap(rot, pair))
-        assert any("size 8" in d for d in diags)
+        with pytest.raises(InvalidMap) as exc:
+            CombinatorialMap(rot, pair)
+        assert any("size 8" in d for d in exc.value.diagnostics)
 
 
 class TestFacesAndGenus:

@@ -5,7 +5,8 @@ from isonorm.maps import curves, validate
 from isonorm.moves import (dual_ball, eulco_union_check, norm_parity,
                            opposed_face_pairs, reduce_map, smooth)
 
-from _helpers import EVEN_F2, FIGURE_EIGHT, REDUCIBLE_F3, TORUS_CROSS, WORDS
+from _helpers import (CHAIN, EVEN_F2, FIGURE_EIGHT, REDUCIBLE_F3, TORUS_CROSS,
+                      WORDS)
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +18,14 @@ class TestSmooth:
     def test_single_vertex_map_degenerates(self):
         result = smooth(FIGURE_EIGHT, 0)
         assert all(c.degenerate for c in result.children)
+
+    def test_disconnecting_child_is_degenerate(self):
+        first, second = smooth(CHAIN, 0).children
+        assert first.degenerate and first.map is None
+        assert first.reason == "map is disconnected"
+        assert not second.degenerate
+        assert (second.map.rotation, second.map.pairing) == (
+            (1, 2, 3, 0, 5, 6, 7, 4), (7, 2, 1, 4, 3, 6, 5, 0))
 
     def test_census_children_have_two_vertices(self, census_builds):
         for build in census_builds:

@@ -16,6 +16,30 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _names(tree):
+    """Every identifier a module defines, imports or refers to."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+
+
+def test_only_maps_decides_validity():
+    # a map is validated once, when it is built, so no other module
+    # re-checks one it is handed
+    paths = sorted(Path(maps.__file__).parent.glob("*.py"))
+    names = {p.name: set(_names(ast.parse(p.read_text(), str(p))))
+             for p in paths}
+    assert len(names) >= 9
+    assert [p for p, ids in names.items() if "check_valid" in ids] == []
+    assert [p for p, ids in names.items() if "validate" in ids] == ["maps.py"]
+
+
 def _resolve(dotted):
     """The library object named 'layer.name' or 'layer.Class.method',
     or None when some part of the name is missing."""
