@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .maps import MapError
-
 
 class WalkError(Exception):
     """Raised for walks that are not closed dual walks of the map."""
@@ -325,8 +323,6 @@ def _spanning_tree(dg):
                 parent_step[other] = step
                 tree.add(e)
                 queue.append(other)
-    if not all(seen):
-        raise MapError("dual graph is disconnected")
     return parent_step, tree
 
 

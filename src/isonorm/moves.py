@@ -46,16 +46,15 @@ def smooth(m, vertex):
     """Both reconnections of the map at the given vertex."""
     if not (0 <= vertex < m.num_vertices):
         raise ValueError("vertex %d out of range" % vertex)
+    return SmoothingResult(m, vertex, [_reconnect(m, vertex, 0),
+                                       _reconnect(m, vertex, 1)])
+
+
+def _reconnect(m, vertex, idx):
+    """Child ``idx`` of the smoothing at the vertex."""
     h0, h1, h2, h3 = m.vertices[vertex]
-    children = [
-        _reconnect(m, vertex, ((h0, h1), (h2, h3))),
-        _reconnect(m, vertex, ((h1, h2), (h3, h0))),
-    ]
-    return SmoothingResult(m, vertex, children)
-
-
-def _reconnect(m, vertex, joins):
-    germs = set(m.vertices[vertex])
+    joins = ((h0, h1), (h2, h3)) if idx == 0 else ((h1, h2), (h3, h0))
+    germs = {h0, h1, h2, h3}
     partner = {}
     for x, y in joins:
         partner[x] = y
@@ -180,7 +179,7 @@ def reduce_map(m):
             break  # every opposed pair coincides: two-faced fixpoint
         child = None
         for v, idx in candidates:
-            c = smooth(current, v).children[idx]
+            c = _reconnect(current, v, idx)
             if not c.degenerate:
                 child = c
                 step = (v, idx)

@@ -1,10 +1,11 @@
 """Exact lattice-polytope kernel.
 
 Polytopes are stored by their vertex set (integer vectors, sorted for
-canonical equality).  All hull decisions use exact rational arithmetic: a
-point is a vertex iff it is not a convex combination of the other points,
-decided by a phase-1 simplex over Fractions.  Intended scale: dimension at
-most 8 and a few hundred points.
+canonical equality).  All hull decisions are exact.  In the plane the hull
+is an integer monotone chain (Andrew 1979).  In dimension d >= 3 a point is
+a vertex iff it is not a convex combination of the other points, decided by
+a phase-1 simplex over Fractions.  Intended scale: dimension at most 8 and
+a few hundred points.
 """
 
 from __future__ import annotations
@@ -142,12 +143,37 @@ def convex_hull(points):
         raise ValueError("convex_hull of an empty set")
     if len({len(p) for p in pts}) != 1:
         raise DimensionError("points of mixed dimension")
+    if len(pts[0]) == 2:
+        return LatticePolytope(_monotone_chain(pts))
     verts = []
     for i, p in enumerate(pts):
         others = pts[:i] + pts[i + 1:]
         if not others or not in_convex_hull(p, others):
             verts.append(p)
     return LatticePolytope(verts)
+
+
+def _monotone_chain(pts):
+    """Hull vertices of sorted distinct points in Z^2.
+
+    The lower and upper chains pop their last point unless the turn to the
+    next one is strictly left (cross product > 0), so points on an edge are
+    not vertices and a collinear set keeps only its two endpoints.
+    """
+    def chain(seq):
+        out = []
+        for x, y in seq:
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
+                out.pop()
+            out.append((x, y))
+        return out
+
+    if len(pts) <= 2:
+        return pts
+    return chain(pts)[:-1] + chain(reversed(pts))[:-1]
 
 
 def support(ball, a):

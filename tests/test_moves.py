@@ -1,12 +1,14 @@
+import random
+
 import pytest
 
-from isonorm import census, coorient, homology, polytope
-from isonorm.maps import curves, validate
+from isonorm import census, coorient, homology, polytope, torus
+from isonorm.maps import curves, parse_map, validate
 from isonorm.moves import (dual_ball, eulco_union_check, norm_parity,
                            opposed_face_pairs, reduce_map, smooth)
 
-from _helpers import (CHAIN, EVEN_F2, FIGURE_EIGHT, REDUCIBLE_F3, TORUS_CROSS,
-                      WORDS)
+from _helpers import (CHAIN, EVEN_F2, FIGURE_EIGHT, FIXTURES, REDUCIBLE_F3,
+                      TORUS_CROSS, TORUS_FAMILIES, WORDS)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +137,71 @@ class TestReduce:
             (c0, c2), (c1, c3) = opposed_face_pairs(m, v)
             for f in (c0, c1, c2, c3):
                 assert 0 <= f < len(m.faces)
+
+
+def reduce_with_both_children(m):
+    """The reduction loop as it was when every step built both children."""
+    current = m
+    trace = []
+    while len(current.faces) > 1:
+        candidates = []
+        for v in range(current.num_vertices):
+            (c0, c2), (c1, c3) = opposed_face_pairs(current, v)
+            if c1 != c3:
+                candidates.append((v, 0))
+            if c0 != c2:
+                candidates.append((v, 1))
+        if not candidates:
+            break
+        for v, idx in candidates:
+            child = smooth(current, v).children[idx]
+            if not child.degenerate:
+                break
+        current = child.map
+        trace.append((v, idx))
+    return current, trace
+
+
+def seeded_torus_maps(seed, count, lo=50, hi=70):
+    rng = random.Random(seed)
+    dirs = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1),
+            (1, -2), (3, 1), (1, 3)]
+    out = []
+    while len(out) < count:
+        fams = [(d, rng.randint(1, 2)) for d in rng.sample(dirs, 4)]
+        m = torus.realize_map(torus.TorusCollection(fams))
+        if lo <= m.num_vertices <= hi:
+            out.append(m)
+    return out
+
+
+class TestReduceBuildsOneChild:
+    """reduce_map builds only the chosen child of each step; it must take
+    the steps that building both children took."""
+
+    def _check(self, m):
+        reduced, trace = reduce_map(m)
+        expected, expected_trace = reduce_with_both_children(m)
+        assert trace == expected_trace
+        assert (reduced.rotation, reduced.pairing) == (
+            expected.rotation, expected.pairing)
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_census_fixtures(self, i):
+        m, _ = parse_map((FIXTURES / ("census%d.map" % i)).read_text())
+        self._check(m)
+
+    @pytest.mark.parametrize("families", TORUS_FAMILIES)
+    def test_torus_families(self, families):
+        self._check(torus.realize_map(torus.TorusCollection(families)))
+
+    def test_seeded_torus_maps(self, seed):
+        for m in seeded_torus_maps(seed, 3):
+            self._check(m)
+
+    def test_reducible_fixtures(self):
+        for m in (REDUCIBLE_F3, EVEN_F2):
+            self._check(m)
 
 
 class TestParity:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isonorm import polytope, torus
 from isonorm.polytope import (DimensionError, LatticePolytope, convex_hull,
                               in_convex_hull, is_p8, is_symmetric,
                               minkowski_sum, mod2_congruent, parse_polytope,
@@ -47,6 +48,69 @@ class TestConvexHull:
             q = tuple(rng.randint(-3, 3) for _ in range(3))
             assert in_convex_hull(q, pts) == \
                 hull_member_caratheodory(q, pts)
+
+
+def random_planar_points(rng):
+    """1-14 points in [-4, 4]^2: scattered, collinear or symmetric, with
+    some points repeated."""
+    n = rng.randint(1, 14)
+    kind = rng.choice(("scattered", "collinear", "symmetric"))
+    if kind == "collinear":
+        dx, dy = rng.choice(((1, 0), (0, 1), (1, 1), (1, -1), (2, 1),
+                             (1, -2)))
+        x0, y0 = rng.randint(-2, 2), rng.randint(-2, 2)
+        pts = [(x0 + t * dx, y0 + t * dy) for t in range(-2, 3)]
+        pts = [rng.choice(pts) for _ in range(n)]
+    else:
+        pts = [(rng.randint(-4, 4), rng.randint(-4, 4))
+               for _ in range((n + 1) // 2 if kind == "symmetric" else n)]
+        if kind == "symmetric":
+            pts += [(-x, -y) for x, y in pts]
+    return pts + [rng.choice(pts) for _ in range(rng.randint(0, 2))]
+
+
+class TestPlanarHull:
+    """2-D hulls are an integer monotone chain, never an LP."""
+
+    def test_agrees_with_caratheodory_oracle(self, rng):
+        for _ in range(300):
+            pts = random_planar_points(rng)
+            assert convex_hull(pts).vertices == hull_vertices_oracle(pts)
+
+    def test_one_point(self):
+        assert convex_hull([(3, -1)]).vertices == ((3, -1),)
+
+    def test_two_points(self):
+        assert convex_hull([(1, 2), (-1, -2), (1, 2)]).vertices == (
+            (-1, -2), (1, 2))
+
+    def test_three_collinear_points_give_endpoints(self):
+        assert convex_hull([(2, 2), (0, 0), (1, 1)]).vertices == (
+            (0, 0), (2, 2))
+
+    def test_square_with_midpoints_and_centre_gives_corners(self):
+        pts = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+        assert convex_hull(pts).vertices == (
+            (-1, -1), (-1, 1), (1, -1), (1, 1))
+
+    def test_no_lp_in_the_plane(self, monkeypatch):
+        def no_lp(point, points):
+            raise RuntimeError("hull LP called")
+
+        monkeypatch.setattr(polytope, "in_convex_hull", no_lp)
+        hexagon = ((-2, -1), (-2, 1), (0, -2), (0, 2), (2, -1), (2, 1))
+        assert convex_hull(hexagon + ((0, 0), (1, 1))).vertices == hexagon
+        assert minkowski_sum(segment((2, 0)),
+                             segment((0, 1))).vertices == (
+            (-2, -1), (-2, 1), (2, -1), (2, 1))
+        assert parse_polytope("1 1\n-1 -1\n0 0\n").vertices == (
+            (-1, -1), (1, 1))
+        ball = torus.realized_ball(torus.TorusCollection(
+            [((1, 0), 1), ((0, 1), 2), ((1, 1), 1)]))
+        assert ball.vertices == ((-3, 0), (-3, 2), (-1, -2), (1, 2),
+                                 (3, -2), (3, 0))
+        with pytest.raises(RuntimeError, match="hull LP called"):
+            convex_hull(BALL4)
 
 
 class TestSupport:
