@@ -276,7 +276,10 @@ def _cmd_census(args):
 
 
 def _cmd_verify_theorem(args):
-    report = census.verify_main_theorem(args.twist_bound)
+    try:
+        report = census.verify_main_theorem(args.twist_bound)
+    except ValueError as exc:
+        raise DomainFailure(str(exc))
     lines = ["classes: %d" % report["classes"]]
     doc = {"classes": report["classes"], "balls": [],
            "intro_is_p8": report["intro_is_p8"],

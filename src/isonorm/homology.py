@@ -106,29 +106,6 @@ def class_of(m, cochain, basis):
 
 
 # ---------------------------------------------------------------------------
-# Dual graph
-# ---------------------------------------------------------------------------
-
-class DualGraph:
-    """Nodes are faces; one link per edge joining its two adjacent faces."""
-
-    def __init__(self, m):
-        self.map = m
-        self.num_nodes = len(m.faces)
-        # link i corresponds to edge i = (a, b); crossing right-to-left of a
-        # goes from face_of[a] to face_of[b]
-        self.links = tuple((m.face_of[a], m.face_of[b]) for a, b in m.edges)
-
-    def __repr__(self):
-        return "DualGraph(nodes=%d, links=%d)" % (self.num_nodes,
-                                                  len(self.links))
-
-
-def dual_graph(m):
-    return DualGraph(m)
-
-
-# ---------------------------------------------------------------------------
 # Integer linear algebra (exact, arbitrary precision)
 # ---------------------------------------------------------------------------
 
@@ -274,20 +251,16 @@ def matmul(a, b):
 # ---------------------------------------------------------------------------
 
 class HomologyBasis:
-    """2g dual walks generating H_1 of the surface, with a certificate.
+    """2g dual walks whose classes form a basis of H_1(surface; Z).
 
-    ``cycle_coords`` expresses each walk in the fundamental-cycle basis of
-    the dual graph; ``boundary`` holds the vertex-circle boundary vectors.
-    The walks generate the quotient iff the matrix stacking both has all
-    elementary divisors equal to 1, which is checked at construction.
+    :func:`homology_basis` certifies the basis before returning it: 2g
+    classes form a basis exactly when their intersection form is
+    unimodular.
     """
 
-    def __init__(self, m, walks, cycle_coords, boundary, divisors):
+    def __init__(self, m, walks):
         self.map = m
         self.walks = tuple(tuple(w) for w in walks)
-        self.cycle_coords = cycle_coords
-        self.boundary = boundary
-        self.divisors = divisors
 
     def __len__(self):
         return len(self.walks)
@@ -296,22 +269,25 @@ class HomologyBasis:
         return iter(self.walks)
 
 
-def _spanning_tree(dg):
-    """BFS spanning tree from node 0, exploring links in id order.
+def _spanning_tree(m):
+    """BFS spanning tree of the dual graph from face 0, exploring edges
+    in id order.
 
-    Returns (parent_step, tree_links) where parent_step[node] is the
-    half-edge step crossing from the parent toward the node.
+    The dual graph has the faces as nodes and one link per edge.  Returns
+    (parent_step, nontree) where parent_step[face] is the half-edge step
+    crossing from the parent toward the face and nontree lists the edges
+    off the tree in id order.
     """
     from collections import deque
 
-    m = dg.map
-    incident = [[] for _ in range(dg.num_nodes)]
-    for e, (a, b) in enumerate(dg.links):
-        ha, hb = m.edges[e]
+    num_faces = len(m.faces)
+    incident = [[] for _ in range(num_faces)]
+    for e, (ha, hb) in enumerate(m.edges):
+        a, b = m.face_of[ha], m.face_of[hb]
         incident[a].append((e, b, ha))   # step ha crosses a -> b
         incident[b].append((e, a, hb))
-    parent_step = [None] * dg.num_nodes
-    seen = [False] * dg.num_nodes
+    parent_step = [None] * num_faces
+    seen = [False] * num_faces
     seen[0] = True
     tree = set()
     queue = deque([0])
@@ -323,12 +299,11 @@ def _spanning_tree(dg):
                 parent_step[other] = step
                 tree.add(e)
                 queue.append(other)
-    return parent_step, tree
+    return parent_step, [e for e in range(m.num_edges) if e not in tree]
 
 
-def _path_to_root(dg, parent_step, node):
-    """Steps crossing from ``node`` back to the root along the tree."""
-    m = dg.map
+def _path_to_root(m, parent_step, node):
+    """Steps crossing from face ``node`` back to the root along the tree."""
     steps = []
     while parent_step[node] is not None:
         step_in = parent_step[node]          # crosses parent -> node
@@ -337,45 +312,41 @@ def _path_to_root(dg, parent_step, node):
     return steps
 
 
-def _fundamental_cycle_walk(dg, parent_step, e):
+def _fundamental_cycle_walk(m, parent_step, e):
     """Closed walk at the root: root -> face(a), cross e, face(b) -> root."""
-    m = dg.map
     ha, hb = m.edges[e]
     to_a = list(reversed([m.pairing[s] for s in
-                          _path_to_root(dg, parent_step, m.face_of[ha])]))
-    back = _path_to_root(dg, parent_step, m.face_of[hb])
+                          _path_to_root(m, parent_step, m.face_of[ha])]))
+    back = _path_to_root(m, parent_step, m.face_of[hb])
     return tuple(to_a + [ha] + back)
 
 
-def walk_cycle_coords(m, walk, nontree):
-    """Net signed crossings of the walk over each non-tree edge."""
-    coords = [0] * len(nontree)
+def _vertex_boundaries(m, nontree):
+    """mu x V matrix whose column v is the vertex circle of v in
+    fundamental-cycle coordinates (its net signed crossings of each
+    non-tree edge)."""
     index = {e: i for i, e in enumerate(nontree)}
-    for h in walk:
-        e = m.edge_index(h)
-        if e in index:
-            coords[index[e]] += 1 if m.edges[e][0] == h else -1
-    return coords
+    bmat = [[0] * m.num_vertices for _ in nontree]
+    for v, orb in enumerate(m.vertices):
+        for h in orb:
+            e = m.edge_index(h)
+            i = index.get(e)
+            if i is not None:
+                bmat[i][v] += 1 if m.edges[e][0] == h else -1
+    return bmat
 
 
 def homology_basis(m):
     """Deterministic basis of H_1(surface) as 2g dual walks."""
-    dg = dual_graph(m)
-    parent_step, tree = _spanning_tree(dg)
-    nontree = [e for e in range(len(dg.links)) if e not in tree]
+    parent_step, nontree = _spanning_tree(m)
     mu = len(nontree)
     g = m.genus
-    # boundary vectors: vertex circles in fundamental-cycle coordinates
-    boundary = [walk_cycle_coords(m, vertex_circle(m, v), nontree)
-                for v in range(m.num_vertices)]
     if mu == 0:
         # tree-like dual graph: only possible on the sphere (empty basis)
         if g != 0:
             raise AssertionError("tree-like dual graph on genus %d" % g)
-        return HomologyBasis(m, (), [], boundary, [])
-    bmat = [[boundary[v][i] for v in range(m.num_vertices)]
-            for i in range(mu)]  # mu x V, columns are boundaries
-    _, d, _, uinv = _smith(bmat)
+        return HomologyBasis(m, ())
+    _, d, _, uinv = _smith(_vertex_boundaries(m, nontree))
     rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
     divisors = [d[i][i] for i in range(rank)]
     if any(x != 1 for x in divisors):
@@ -383,32 +354,31 @@ def homology_basis(m):
     if mu - rank != 2 * g:
         raise AssertionError("homology rank %d != 2g = %d"
                              % (mu - rank, 2 * g))
-    cycles = [_fundamental_cycle_walk(dg, parent_step, e) for e in nontree]
+    cycles = [_fundamental_cycle_walk(m, parent_step, e) for e in nontree]
     walks = []
-    coords = []
     for j in range(rank, mu):
-        combo = [uinv[i][j] for i in range(mu)]
         w = []
-        for i, c in enumerate(combo):
-            piece = cycles[i] if c > 0 else reverse_walk(m, cycles[i])
+        for i, cycle in enumerate(cycles):
+            c = uinv[i][j]
+            piece = cycle if c > 0 else reverse_walk(m, cycle)
             for _ in range(abs(c)):
                 w.extend(piece)
-        check_walk(m, tuple(w))
         walks.append(tuple(w))
-        coords.append(combo)
-    basis = HomologyBasis(m, walks, coords, boundary, divisors)
-    _check_basis_certificate(basis, mu)
-    return basis
+    _check_unimodular(m, walks)
+    return HomologyBasis(m, walks)
 
 
-def _check_basis_certificate(basis, mu):
-    stacked = [row[:] for row in basis.cycle_coords] + \
-              [row[:] for row in basis.boundary]
-    _, d, _ = smith_normal_form(stacked)
-    divs = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    nonzero = [x for x in divs if x != 0]
-    if len(nonzero) != mu or any(x != 1 for x in nonzero):
-        raise AssertionError("basis walks do not generate H_1: %r" % divs)
+def _check_unimodular(m, walks):
+    """Raise AssertionError unless the walks' classes form a basis of
+    H_1, i.e. their intersection form has all elementary divisors 1.
+
+    ``intersection_form`` checks that every walk is a closed dual walk.
+    """
+    _, d, _ = smith_normal_form(intersection_form(m, walks))
+    divisors = [d[i][i] for i in range(len(d))]
+    if any(x != 1 for x in divisors):
+        raise AssertionError("basis walks do not generate H_1: intersection"
+                             " form has elementary divisors %r" % divisors)
 
 
 # ---------------------------------------------------------------------------

@@ -138,11 +138,7 @@ def in_convex_hull(point, points):
 
 def convex_hull(points):
     """Minimal vertex set of the convex hull of integer points."""
-    pts = sorted({tuple(int(x) for x in p) for p in points})
-    if not pts:
-        raise ValueError("convex_hull of an empty set")
-    if len({len(p) for p in pts}) != 1:
-        raise DimensionError("points of mixed dimension")
+    pts = LatticePolytope(points).vertices  # sorted, distinct, one dimension
     if len(pts[0]) == 2:
         return LatticePolytope(_monotone_chain(pts))
     verts = []

@@ -217,6 +217,14 @@ class TestCensusCommands:
         code, _, _ = run(capsys, "census", "--twist-bound", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_verify_theorem_small_twist_bound_exits_one(self, capsys,
+                                                        json_flag):
+        code, out, err = run(capsys, *json_flag, "verify-theorem",
+                             "--twist-bound", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: twist_bound must be at least 2\n"
+
     def test_verify_theorem_passes(self, capsys):
         code, out, _ = run(capsys, "verify-theorem")
         assert code == 0

@@ -1,13 +1,13 @@
 import pytest
 
 from isonorm import census, coorient, homology
-from isonorm.homology import (class_of, coboundary, dual_graph, evaluate,
+from isonorm.homology import (class_of, coboundary, evaluate,
                               homology_basis, intersection_form,
                               smith_normal_form, vertex_circle)
 from isonorm.torus import TorusCollection, realize_map
 
-from _helpers import (FIGURE_EIGHT, STANDARD_SYMPLECTIC, TORUS_CROSS,
-                      TORUS_FAMILIES, WORDS, det_fraction, random_valid_map)
+from _helpers import (STANDARD_SYMPLECTIC, TORUS_CROSS, TORUS_FAMILIES,
+                      WORDS, det_fraction, random_valid_map)
 
 
 @pytest.fixture(scope="module")
@@ -15,18 +15,9 @@ def census_builds():
     return [census.word_to_map(w) for w in WORDS]
 
 
-class TestDualGraph:
-    def test_one_faced_map_gives_loops_only(self, census_builds):
-        for build in census_builds:
-            dg = dual_graph(build.map)
-            assert dg.num_nodes == 1
-            assert len(dg.links) == 2 * build.map.num_vertices
-            assert all(a == b == 0 for a, b in dg.links)
-
-    def test_multi_faced_map_node_count(self):
-        dg = dual_graph(FIGURE_EIGHT)
-        assert dg.num_nodes == 3
-        assert len(dg.links) == FIGURE_EIGHT.num_edges
+@pytest.fixture(scope="module")
+def torus_maps():
+    return [realize_map(TorusCollection(f)) for f in TORUS_FAMILIES]
 
 
 class TestSmithNormalForm:
@@ -89,16 +80,33 @@ class TestSmithInverse:
             self.check([[rng.randint(-5, 5) for _ in range(cols)]
                         for _ in range(rows)])
 
-    def test_boundary_matrices(self, rng, census_builds):
-        maps = [b.map for b in census_builds]
-        maps += [realize_map(TorusCollection(f)) for f in TORUS_FAMILIES]
+    def test_boundary_matrices(self, rng, census_builds, torus_maps):
+        maps = [b.map for b in census_builds] + torus_maps
         maps += [random_valid_map(rng, rng.randint(1, 5)) for _ in range(20)]
         for m in maps:
             # columns are the vertex circles in fundamental-cycle
             # coordinates, as homology_basis builds them
-            boundary = homology_basis(m).boundary
-            if boundary[0]:
-                self.check([list(r) for r in zip(*boundary)])
+            _, nontree = homology._spanning_tree(m)
+            bmat = homology._vertex_boundaries(m, nontree)
+            if bmat:
+                self.check(bmat)
+
+
+# homology_basis walks of the WORDS maps and the TORUS_FAMILIES maps; the
+# benchmark's dual-ball digests are taken in these coordinates
+WORDS_WALKS = (
+    ((3,), (4,), (0,), (7,)),
+    ((1,), (3,), (6,), (7,)),
+    ((0,), (4,), (6,), (7,)),
+    ((2,), (3,), (4,), (7,)),
+)
+TORUS_FAMILIES_WALKS = (
+    ((0, 3), (7, 5)),
+    ((17, 19, 23, 29), (31, 28, 24, 5)),
+    ((6, 25, 36, 38, 44, 5), (6, 25, 43, 47, 44, 5)),
+    ((0, 58, 30, 34, 38, 2), (0, 3, 39, 35, 53, 55)),
+    ((44, 47, 17, 43, 39, 6, 5), (44, 56, 42, 16, 46)),
+)
 
 
 class TestHomologyBasis:
@@ -106,7 +114,14 @@ class TestHomologyBasis:
         for build in census_builds:
             basis = homology_basis(build.map)
             assert len(basis) == 4
-            assert all(x == 1 for x in basis.divisors)
+            _, d, _ = smith_normal_form(intersection_form(build.map, basis))
+            assert [d[i][i] for i in range(4)] == [1, 1, 1, 1]
+
+    def test_pinned_walks(self, census_builds, torus_maps):
+        assert tuple(homology_basis(b.map).walks
+                     for b in census_builds) == WORDS_WALKS
+        assert tuple(homology_basis(m).walks
+                     for m in torus_maps) == TORUS_FAMILIES_WALKS
 
     def test_genus_one_map(self):
         basis = homology_basis(TORUS_CROSS)
@@ -123,6 +138,50 @@ class TestHomologyBasis:
     def test_deterministic(self, census_builds):
         m = census_builds[0].map
         assert homology_basis(m).walks == homology_basis(m).walks
+
+
+class TestBasisCertificate:
+    """The unimodular-form certificate rejects 2g walks that are not a
+    basis of H_1."""
+
+    @pytest.fixture
+    def examples(self, census_builds, torus_maps):
+        return [(m, homology_basis(m).walks)
+                for m in (census_builds[1].map, torus_maps[2])]
+
+    def test_accepts_computed_bases(self, examples):
+        for m, walks in examples:
+            homology._check_unimodular(m, walks)
+
+    def test_rejects_doubled_walk(self, examples):
+        for m, walks in examples:
+            with pytest.raises(AssertionError):
+                homology._check_unimodular(
+                    m, (walks[0] + walks[0],) + walks[1:])
+
+    def test_rejects_equal_walks(self, examples):
+        for m, walks in examples:
+            with pytest.raises(AssertionError):
+                homology._check_unimodular(m, (walks[0],) + walks[:-1])
+
+    def test_rejects_vertex_circle(self, examples):
+        for m, walks in examples:
+            with pytest.raises(AssertionError):
+                homology._check_unimodular(
+                    m, walks[:-1] + (vertex_circle(m, 0),))
+
+    def test_homology_basis_raises_on_failed_certificate(
+            self, monkeypatch, census_builds):
+        form = homology.intersection_form
+
+        def doubled_first_row(m, walks):
+            out = form(m, walks)
+            out[0] = [2 * x for x in out[0]]
+            return out
+
+        monkeypatch.setattr(homology, "intersection_form", doubled_first_row)
+        with pytest.raises(AssertionError):
+            homology_basis(census_builds[0].map)
 
 
 class TestEvaluate:
