@@ -175,8 +175,7 @@ def _cmd_norm(args):
     a = tuple(args.coord)
     if len(a) != len(basis):
         raise DomainFailure("class vector needs %d coordinates" % len(basis))
-    ball = moves.dual_ball(m, basis)
-    value = polytope.support(ball, a)
+    value = moves.norm(m, a, basis)
     _emit(args, "%d\n" % value, {"norm": value})
     return 0
 

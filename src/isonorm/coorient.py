@@ -9,10 +9,13 @@ positive, two negative crossings per vertex circle) reads: every vertex has
 exactly two designated germs among its four.
 
 The class set [Eulco] comes from ``eulco_classes``, a frontier dynamic
-programme over the edges that never builds a co-orientation.
-``enumerate_eulerian`` (backtracking) and ``brute_force_eulerian`` (all
-2^|E| assignments) list the co-orientations themselves; the library uses
-neither, and the tests keep them as oracles for the class set.
+programme over the edges that never builds a co-orientation.  Two Eulerian
+co-orientations differ by twice an integer cochain, so all Eulerian classes
+agree mod 2 and the class of one of them, ``from_curve_orientations``,
+gives the norm's parity.
+``enumerate_eulerian`` (backtracking) lists the co-orientations themselves;
+the library does not call it, and the tests keep it as an oracle for the
+class set.
 """
 
 from __future__ import annotations
@@ -173,17 +176,6 @@ def _edge_decision_order(m):
     return order
 
 
-def brute_force_eulerian(m):
-    """All Eulerian co-orientations by filtering every 2^|E| assignment."""
-    from itertools import product
-
-    results = []
-    for combo in product(*m.edges):
-        if is_eulerian(m, combo):
-            results.append(CoOrientation(m, combo))
-    return EulcoSet(m, results)
-
-
 class EulcoSet:
     """The complete set of Eulerian co-orientations of one map."""
 
@@ -218,13 +210,8 @@ def eulco_classes(m, basis=None):
     if basis is None:
         basis = homology.homology_basis(m)
     walks = tuple(basis)
-    steps = []
-    for i, w in enumerate(walks):
-        for h in w:
-            if not 0 <= h < m.n:
-                raise ValueError("walk %d: step %r is not a half-edge"
-                                 % (i, h))
-        steps.append(Counter(w))
+    homology.check_steps(m, walks)
+    steps = [Counter(w) for w in walks]
     vertex_of = m.vertex_of
     undecided = [4] * m.num_vertices
     # frontier (an int with the count of vertex v in bits 2v, 2v+1; closed

@@ -98,11 +98,23 @@ def coboundary(m, potentials):
             for h in range(m.n)]
 
 
+def check_steps(m, walks):
+    """Raise ValueError unless every step of every walk is a half-edge;
+    the walks may otherwise be any half-edge sequences."""
+    for i, w in enumerate(walks):
+        for h in w:
+            if not 0 <= h < m.n:
+                raise ValueError("walk %d: step %r is not a half-edge"
+                                 % (i, h))
+
+
 def class_of(m, cochain, basis):
     """Evaluations of a cocycle on the basis walks."""
     if not is_cocycle(m, cochain):
         raise ValueError("cochain is not a cocycle (vertex condition fails)")
-    return tuple(sum(cochain[h] for h in w) for w in basis)
+    walks = tuple(basis)
+    check_steps(m, walks)
+    return tuple(sum(cochain[h] for h in w) for w in walks)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +251,6 @@ def integer_inverse(mat):
             if x.denominator != 1:
                 raise ValueError("matrix is not unimodular")
     return [[int(x) for x in row] for row in out]
-
-
-def matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-            for row in a]
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,17 @@ crossing a parent edge maps to the step crossing the child edge that the
 parent edge was merged into, with matching direction.  Walks never enter
 the smoothing disk (they are edge-crossing sequences), so every parent walk
 transports.
+
+The intersection norm of a class is the support of the dual ball at it:
+:func:`norm` reads it as the largest pairing with an Eulerian class, with
+no hull.  All Eulerian classes agree mod 2, so :func:`norm_parity` needs
+only one Eulerian co-orientation.
 """
 
 from __future__ import annotations
 
 from .maps import CombinatorialMap, InvalidMap, MapError
-from . import homology, coorient, polytope
+from . import homology, coorient
 
 
 class Child:
@@ -200,17 +205,21 @@ def reduce_map(m):
 
 
 def norm_parity(m, basis=None):
-    """"even" iff the intersection norm takes only even values."""
-    classes = coorient.eulco_classes(m, basis)
-    some = next(iter(classes))
-    parity = "even" if all(x % 2 == 0 for x in some) else "odd"
-    for v in classes:
-        if any((x - y) % 2 for x, y in zip(v, some)):
-            raise AssertionError("class vectors are not congruent mod 2")
-    return parity
+    """"even" iff the intersection norm takes only even values.
+
+    Two Eulerian co-orientations differ by twice an integer cochain, so
+    all Eulerian classes agree mod 2 and any one of them decides.
+    """
+    if basis is None:
+        basis = homology.homology_basis(m)
+    signs = coorient.from_curve_orientations(m).signs()
+    c = homology.class_of(m, signs, basis)
+    return "even" if all(x % 2 == 0 for x in c) else "odd"
 
 
-def dual_ball(m, basis=None):
-    """The dual unit ball: convex hull of the Eulerian class vectors."""
-    classes = coorient.eulco_classes(m, basis)
-    return polytope.convex_hull(classes)
+def norm(m, a, basis=None):
+    """The intersection norm of the class a (one coordinate per basis
+    walk): the support of the dual ball at a, i.e. the largest pairing of
+    a with an Eulerian class."""
+    return max(sum(x * y for x, y in zip(c, a, strict=True))
+               for c in coorient.eulco_classes(m, basis))

@@ -16,7 +16,6 @@ once per residue modulo det(d1, d2) (see :func:`_line_crossings`).
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import gcd
 
@@ -74,32 +73,12 @@ def check_polygon(p):
     return out
 
 
-def _boundary_cycle(p):
-    """Vertices of a centrally symmetric 2-polygon in CCW order (a segment
-    gives its two ends), sorted by angle about its centre, the origin."""
-    verts = list(p.vertices)
-    if len(verts) <= 2:
-        return verts
-
-    def half(v):
-        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
-
-    def cmp(u, v):
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return hu - hv
-        c = u[0] * v[1] - u[1] * v[0]
-        return -1 if c > 0 else (1 if c < 0 else 0)
-
-    return sorted(verts, key=functools.cmp_to_key(cmp))
-
-
 def zonotope_decompose(p):
     """Generators w_i with p = Minkowski sum of the segments [-w_i, w_i]."""
     diags = check_polygon(p)
     if diags:
         raise PolygonError("; ".join(diags))
-    cycle = _boundary_cycle(p)
+    cycle = polytope._monotone_chain(p.vertices)  # CCW; a segment: 2 ends
     k = len(cycle)
     gens = []
     for i in range(k if k > 2 else 1):

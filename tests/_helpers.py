@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
+from isonorm.coorient import CoOrientation, EulcoSet, is_eulerian
 from isonorm.maps import CombinatorialMap, InvalidMap
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -124,6 +125,20 @@ def det_fraction(mat):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
+
+
+def brute_force_eulerian(m):
+    """All Eulerian co-orientations by filtering every 2^|E| assignment."""
+    results = []
+    for combo in product(*m.edges):
+        if is_eulerian(m, combo):
+            results.append(CoOrientation(m, combo))
+    return EulcoSet(m, results)
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
 
 
 def hull_member_caratheodory(point, points):

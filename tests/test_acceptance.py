@@ -17,9 +17,9 @@ from isonorm.maps import curves as map_curves, validate
 from isonorm.polytope import convex_hull, in_convex_hull, support
 
 from _helpers import (EVEN_F2, FIGURE_EIGHT, GOLDEN_BALLS, INTRO_VECTORS,
-                      REDUCIBLE_F3, TORUS_CROSS, WORDS, det_fraction,
-                      hull_vertices_oracle, one_faced_ball_oracle,
-                      random_valid_map)
+                      REDUCIBLE_F3, TORUS_CROSS, WORDS, brute_force_eulerian,
+                      det_fraction, hull_vertices_oracle,
+                      one_faced_ball_oracle, random_valid_map)
 
 SMALL_FIXTURES = [FIGURE_EIGHT, TORUS_CROSS, REDUCIBLE_F3, EVEN_F2]
 
@@ -106,7 +106,7 @@ class TestOracleEquivalence:
         for m in fixtures:
             assert m.num_edges <= 12
             fast = {nu.designated for nu in coorient.enumerate_eulerian(m)}
-            slow = {nu.designated for nu in coorient.brute_force_eulerian(m)}
+            slow = {nu.designated for nu in brute_force_eulerian(m)}
             assert fast == slow
 
     def test_convex_hull_matches_certification_oracle(self, rng):

@@ -134,6 +134,25 @@ class TestNorm:
         assert code == 1
         assert "coordinates" in err
 
+    CLASSES = ((3, -2, 1, 0), (0, 1, -2, 5), (1, 2, 3, 4), (-1, 1, 1, -1))
+    # the norms of CLASSES on census<i>.map, in computed-basis coordinates
+    # and in the coordinates of census<i>.walks
+    PINNED = {(1, False): (6, 8, 10, 4), (1, True): (6, 8, 10, 4),
+              (2, False): (6, 8, 6, 4), (2, True): (6, 6, 10, 4),
+              (3, False): (6, 8, 6, 4), (3, True): (6, 8, 10, 2),
+              (4, False): (6, 8, 8, 4), (4, True): (6, 6, 10, 4)}
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    @pytest.mark.parametrize("walks", [False, True])
+    def test_pinned_census_norms(self, capsys, i, walks):
+        option = ["--walks", fx("census%d.walks" % i)] if walks else []
+        for a, value in zip(self.CLASSES, self.PINNED[i, walks]):
+            argv = ["norm", fx("census%d.map" % i)]
+            argv += [str(x) for x in a] + option
+            assert run(capsys, *argv) == (0, "%d\n" % value, "")
+            assert run(capsys, "--json", *argv) == (
+                0, '{"norm": %d}\n' % value, "")
+
 
 class TestSmoothReduceParity:
     def test_smooth_prints_two_children(self, capsys):
@@ -171,6 +190,14 @@ class TestSmoothReduceParity:
                            "--walks", fx("census3.walks"))
         assert code == 0
         assert out == "odd\n"
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_pinned_census_parity(self, capsys, i):
+        for option in ([], ["--walks", fx("census%d.walks" % i)]):
+            argv = ["parity", fx("census%d.map" % i)] + option
+            assert run(capsys, *argv) == (0, "odd\n", "")
+            assert run(capsys, "--json", *argv) == (
+                0, '{"parity": "odd"}\n', "")
 
 
 class TestRealizeTorus:

@@ -3,15 +3,14 @@ from math import atan2
 import pytest
 
 from isonorm import census, coorient, homology, moves, polytope
-from isonorm.coorient import (CoOrientation, brute_force_eulerian,
-                              enumerate_eulerian, eulco_classes,
-                              from_curve_orientations, is_eulerian,
-                              vertex_type)
+from isonorm.coorient import (CoOrientation, enumerate_eulerian,
+                              eulco_classes, from_curve_orientations,
+                              is_eulerian, vertex_type)
 from isonorm.maps import curves
 from isonorm.torus import TorusCollection, realize_map
 
 from _helpers import (BALL2, FIGURE_EIGHT, REDUCIBLE_F3, TORUS_CROSS, WORDS,
-                      random_valid_map)
+                      brute_force_eulerian, random_valid_map)
 
 
 def torus_map(families):
@@ -180,11 +179,25 @@ class TestClasses:
                 checked += 1
         assert checked > 0
 
-    @pytest.mark.parametrize("step", [-1, 12])
-    def test_step_outside_the_half_edges_rejected(self, census_builds, step):
+    QUERIES = {
+        "eulco_classes": eulco_classes,
+        "class_of": lambda m, walks: homology.class_of(
+            m, from_curve_orientations(m).signs(), walks),
+        "norm_parity": moves.norm_parity,
+    }
+
+    @pytest.mark.parametrize("query, step", [
+        pytest.param("eulco_classes", -1, id="-1"),
+        pytest.param("eulco_classes", 12, id="12"),
+        ("class_of", -1), ("class_of", 12),
+        ("norm_parity", -1), ("norm_parity", 12)])
+    def test_step_outside_the_half_edges_rejected(self, census_builds, query,
+                                                  step):
         m = census_builds[0].map
-        with pytest.raises(ValueError, match="not a half-edge"):
-            eulco_classes(m, [(0, step)])
+        assert m.n == 12
+        with pytest.raises(ValueError, match="walk 0: step %d is not a "
+                           "half-edge" % step):
+            self.QUERIES[query](m, [(0, step)])
 
 
 def doubled_area(vertices):

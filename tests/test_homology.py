@@ -7,7 +7,7 @@ from isonorm.homology import (class_of, coboundary, evaluate,
 from isonorm.torus import TorusCollection, realize_map
 
 from _helpers import (STANDARD_SYMPLECTIC, TORUS_CROSS, TORUS_FAMILIES,
-                      WORDS, det_fraction, random_valid_map)
+                      WORDS, det_fraction, matmul, random_valid_map)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,7 @@ class TestSmithNormalForm:
     def test_factorization_certificate(self, mat):
         u, d, v = smith_normal_form([row[:] for row in mat])
         # U * mat * V == D
-        prod = homology.matmul(homology.matmul(u, mat), v)
+        prod = matmul(matmul(u, mat), v)
         assert prod == d
         # U, V unimodular
         assert abs(det_fraction(u)) == 1
@@ -71,7 +71,7 @@ class TestSmithInverse:
         assert uinv == homology.integer_inverse(u)
         identity = [[int(i == j) for j in range(len(u))]
                     for i in range(len(u))]
-        assert homology.matmul(u, uinv) == identity
+        assert matmul(u, uinv) == identity
 
     def test_random_matrices(self, rng):
         for _ in range(200):

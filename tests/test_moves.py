@@ -1,14 +1,15 @@
 import random
+from itertools import product
 
 import pytest
 
 from isonorm import census, coorient, homology, polytope, torus
 from isonorm.maps import curves, parse_map, validate
-from isonorm.moves import (dual_ball, eulco_union_check, norm_parity,
+from isonorm.moves import (eulco_union_check, norm, norm_parity,
                            opposed_face_pairs, reduce_map, smooth)
 
 from _helpers import (CHAIN, EVEN_F2, FIGURE_EIGHT, FIXTURES, REDUCIBLE_F3,
-                      TORUS_CROSS, TORUS_FAMILIES, WORDS)
+                      TORUS_CROSS, TORUS_FAMILIES, WORDS, random_valid_map)
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +205,15 @@ class TestReduceBuildsOneChild:
             self._check(m)
 
 
+def parity_oracle(m, walks):
+    """The parity read off the whole class set, whose vectors must all
+    agree mod 2."""
+    residues = {tuple(x % 2 for x in c)
+                for c in coorient.eulco_classes(m, walks)}
+    assert len(residues) == 1
+    return "odd" if any(residues.pop()) else "even"
+
+
 class TestParity:
     def test_census_collections_are_odd(self, census_builds):
         for build in census_builds:
@@ -218,8 +228,43 @@ class TestParity:
     def test_torus_cross_is_odd(self):
         assert norm_parity(TORUS_CROSS) == "odd"
 
+    @staticmethod
+    def check(m, walks, rng):
+        # basis walks, and half-edge sequences that are no dual walks
+        arbitrary = [tuple(rng.randrange(m.n)
+                           for _ in range(rng.randint(0, 8)))
+                     for _ in range(rng.randint(0, 3))]
+        for w in (walks, arbitrary):
+            assert norm_parity(m, w) == parity_oracle(m, w)
 
-class TestDualBall:
-    def test_census_ball_matches_build(self, census_builds):
-        build = census_builds[1]
-        assert dual_ball(build.map, build.walks) == build.dual_ball()
+    def test_matches_class_set_on_fixtures(self, census_builds, rng):
+        for build in census_builds:
+            self.check(build.map, build.walks, rng)
+        for families in TORUS_FAMILIES:
+            m = torus.realize_map(torus.TorusCollection(families))
+            self.check(m, homology.homology_basis(m).walks, rng)
+        for m in (REDUCIBLE_F3, EVEN_F2, TORUS_CROSS):
+            self.check(m, homology.homology_basis(m).walks, rng)
+
+    def test_matches_class_set_on_random_maps(self, rng):
+        parities = set()
+        for _ in range(100):
+            m = random_valid_map(rng, rng.randint(1, 6))
+            assert norm_parity(m) == parity_oracle(m, None)
+            self.check(m, homology.homology_basis(m).walks, rng)
+            parities.add(norm_parity(m))
+        assert parities == {"even", "odd"}
+
+
+class TestNorm:
+    def test_support_of_census_balls(self, census_builds):
+        for build in census_builds:
+            ball = build.dual_ball()
+            for a in product(range(-2, 3), repeat=4):
+                assert norm(build.map, a, build.walks) == \
+                    polytope.support(ball, a)
+
+    def test_class_vector_of_wrong_length_rejected(self, census_builds):
+        build = census_builds[0]
+        with pytest.raises(ValueError):
+            norm(build.map, (1, 0), build.walks)

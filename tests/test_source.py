@@ -50,15 +50,62 @@ def _resolve(dotted):
     return obj
 
 
-def test_benchmark_traced_names_resolve():
-    # the benchmark's tracer wraps these names with getattr, so a deleted
-    # or renamed one breaks a traced run
+def _tracing():
+    """perfbench/tracing.py, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    names = ["%s.%s" % (layer, qualname)
-             for layer, qualnames in tracing.TRACED.items()
-             for qualname in qualnames] + list(tracing.HOOKS)
+    return tracing
+
+
+def _traced_names():
+    tracing = _tracing()
+    return ["%s.%s" % (layer, qualname)
+            for layer, qualnames in tracing.TRACED.items()
+            for qualname in qualnames] + list(tracing.HOOKS)
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's tracer wraps these names with getattr, so a deleted
+    # or renamed one breaks a traced run
+    names = _traced_names()
     assert len(names) > 30
     assert [n for n in names if not callable(_resolve(n))] == []
+
+
+# Library API that states one of the paper's lemmas; only the tests call
+# it, and it stays in the library all the same.
+LEMMA_API = {
+    "maps.canonical_form", "maps.isomorphic",
+    "homology.coboundary", "homology.vertex_circle", "homology.evaluate",
+    "coorient.is_eulerian", "coorient.vertex_type",
+    "census.self_intersection", "census.AnnulusArc",
+    "census.arc_intersection",
+    "moves.eulco_union_check",
+}
+
+
+def test_every_library_definition_has_a_library_caller():
+    # a top-level function or class that no library module refers to is
+    # dead code or a test oracle (whose place is tests/_helpers.py),
+    # unless it is lemma API or the benchmark's tracer fetches it by name
+    defined = {}   # "module.name" -> top-level definition
+    referrers = {}  # name -> the "module.name" of each referring definition
+    for path in sorted(Path(maps.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            owner = "%s.%s" % (path.stem, getattr(stmt, "name", ""))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined[owner] = stmt
+            for node in ast.walk(stmt):
+                name = getattr(node, "id", None) or (
+                    node.attr if isinstance(node, ast.Attribute) else None)
+                if name:
+                    referrers.setdefault(name, set()).add(owner)
+    assert len(defined) > 100
+    assert LEMMA_API <= set(defined)
+    kept = LEMMA_API | {".".join(n.split(".")[:2]) for n in _traced_names()}
+    # a definition's references to itself (recursion) do not count
+    unreferenced = [qualname for qualname, stmt in defined.items()
+                    if not referrers.get(stmt.name, set()) - {qualname}]
+    assert [n for n in unreferenced if n not in kept] == []
