@@ -122,64 +122,42 @@ def class_of(m, cochain, basis):
 # ---------------------------------------------------------------------------
 
 def smith_normal_form(mat):
-    """Return (U, D, V) with U*mat*V = D in Smith normal form.
+    """Return (divisors, U^-1) for the Smith normal form U*mat*V = D.
 
-    U and V are unimodular; D is diagonal with d_i | d_{i+1}.  Matrices are
-    lists of lists of Python ints.  The elimination also carries U^-1; see
-    :func:`_smith`.
-    """
-    return _smith(mat)[:3]
+    U and V are unimodular and D is diagonal with d_i | d_{i+1}; divisors
+    are the non-zero d_i in order, so their number is the rank of mat.
+    Matrices are lists of lists of Python ints.  Only U^-1 is built:
+    subtracting q times row j from row i of U adds q times column i to
+    column j of U^-1, and a row swap or negation of U is the same column
+    swap or negation of U^-1.  The columns of U^-1 are stored as rows and
+    transposed at the end.
 
-
-def _smith(mat):
-    """Return (U, D, V, U^-1) with U*mat*V = D in Smith normal form.
-
-    U^-1 is kept beside U through the elimination: subtracting q times
-    row j from row i of U adds q times column i to column j of U^-1, and
-    a row swap or negation of U is the same column swap or negation of
-    U^-1.  The columns of U^-1 are stored as rows and transposed at the
-    end.
+    Column t is cleared before row t is swept, so that a Euclid row swap
+    never leaves the old pivot in column t for the column operations to
+    spread into other rows; without it the entries grow without bound on
+    some dense 6x6 inputs.
     """
     a = [row[:] for row in mat]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
     uinv_cols = [[int(i == j) for j in range(rows)] for i in range(rows)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
         uinv_cols[j] = [x + q * y for x, y in zip(uinv_cols[j], uinv_cols[i])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
         uinv_cols[i], uinv_cols[j] = uinv_cols[j], uinv_cols[i]
 
     def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
 
     t = 0
     while t < min(rows, cols):
-        # find a pivot
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        pivot = next(((i, j) for i in range(t, rows) for j in range(t, cols)
+                      if a[i][j]), None)
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -188,49 +166,42 @@ def _smith(mat):
             done = True
             for i in range(t + 1, rows):
                 if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
+                    row_op(i, t, a[i][t] // a[t][t])
                     if a[i][t]:
                         swap_rows(t, i)
                         done = False
+            if not done:
+                continue
             for j in range(t + 1, cols):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
+                    for row in a:  # col_j -= q * col_t
+                        row[j] -= q * row[t]
                     if a[t][j]:
                         swap_cols(t, j)
                         done = False
             if done:
                 break
         # ensure divisibility of the remaining block
-        recheck = False
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    row_op(t, i, -1)
-                    recheck = True
-                    break
-            if recheck:
-                break
-        if recheck:
+        bad = next((i for i in range(t + 1, rows)
+                    for j in range(t + 1, cols) if a[i][j] % a[t][t]), None)
+        if bad is not None:
+            row_op(t, bad, -1)
             continue
         if a[t][t] < 0:
-            for k in range(cols):
-                a[t][k] = -a[t][k]
-            for k in range(rows):
-                u[t][k] = -u[t][k]
-                uinv_cols[t][k] = -uinv_cols[t][k]
+            a[t] = [-x for x in a[t]]
+            uinv_cols[t] = [-x for x in uinv_cols[t]]
         t += 1
-    return u, a, v, [list(r) for r in zip(*uinv_cols)]
+    return [a[i][i] for i in range(t)], [list(r) for r in zip(*uinv_cols)]
 
 
 def integer_inverse(mat):
     """Exact inverse of a unimodular integer matrix, by Fraction
     Gauss-Jordan elimination.
 
-    The library reads U^-1 from :func:`_smith` instead; this independent
-    inverse checks it in the tests and stays traceable by name for
-    ``perfbench``.
+    The library reads U^-1 from :func:`smith_normal_form` instead; this
+    independent inverse checks it in the tests and stays traceable by name
+    for ``perfbench``.
     """
     n = len(mat)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
@@ -260,9 +231,11 @@ def integer_inverse(mat):
 class HomologyBasis:
     """2g dual walks whose classes form a basis of H_1(surface; Z).
 
-    :func:`homology_basis` certifies the basis before returning it: 2g
-    classes form a basis exactly when their intersection form is
-    unimodular.
+    :func:`homology_basis` reads them from one :func:`smith_normal_form`
+    of the mu x V vertex-boundary matrix: the columns of U^-1 past its
+    rank, spelled out over the fundamental cycles.  It certifies the basis
+    before returning it: 2g classes form a basis exactly when their
+    intersection form is unimodular.
     """
 
     def __init__(self, m, walks):
@@ -353,9 +326,8 @@ def homology_basis(m):
         if g != 0:
             raise AssertionError("tree-like dual graph on genus %d" % g)
         return HomologyBasis(m, ())
-    _, d, _, uinv = _smith(_vertex_boundaries(m, nontree))
-    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    divisors = [d[i][i] for i in range(rank)]
+    divisors, uinv = smith_normal_form(_vertex_boundaries(m, nontree))
+    rank = len(divisors)
     if any(x != 1 for x in divisors):
         raise AssertionError("surface homology has torsion: %r" % divisors)
     if mu - rank != 2 * g:
@@ -381,9 +353,8 @@ def _check_unimodular(m, walks):
 
     ``intersection_form`` checks that every walk is a closed dual walk.
     """
-    _, d, _ = smith_normal_form(intersection_form(m, walks))
-    divisors = [d[i][i] for i in range(len(d))]
-    if any(x != 1 for x in divisors):
+    divisors, _ = smith_normal_form(intersection_form(m, walks))
+    if divisors != [1] * len(walks):
         raise AssertionError("basis walks do not generate H_1: intersection"
                              " form has elementary divisors %r" % divisors)
 

@@ -4,13 +4,17 @@ Polytopes are stored by their vertex set (integer vectors, sorted for
 canonical equality).  All hull decisions are exact.  In the plane the hull
 is an integer monotone chain (Andrew 1979).  In dimension d >= 3 a point is
 a vertex iff it is not a convex combination of the other points, decided by
-a phase-1 simplex over Fractions.  Intended scale: dimension at most 8 and
-a few hundred points.
+a phase-1 simplex over Fractions, the module's only Fraction arithmetic.
+The dimension of a polytope is the rank of its vertices' differences from
+one vertex, read from :func:`isonorm.homology.smith_normal_form`.
+Intended scale: dimension at most 8 and a few hundred points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from . import homology
 
 
 class DimensionError(ValueError):
@@ -49,28 +53,8 @@ class LatticePolytope:
 
 def _affine_rank(points):
     base = points[0]
-    rows = [[Fraction(x - y) for x, y in zip(p, base)] for p in points[1:]]
-    return _row_rank(rows)
-
-
-def _row_rank(rows):
-    rows = [row[:] for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
-                   None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    diffs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
+    return len(homology.smith_normal_form(diffs)[0])
 
 
 def in_convex_hull(point, points):

@@ -83,9 +83,7 @@ def zonotope_decompose(p):
     gens = []
     for i in range(k if k > 2 else 1):
         u, v = cycle[i], cycle[(i + 1) % k]
-        e = (v[0] - u[0], v[1] - u[1])
-        if e[0] % 2 or e[1] % 2:
-            raise PolygonError("odd edge vector %r" % (e,))
+        e = (v[0] - u[0], v[1] - u[1])  # even: vertices agree mod 2
         w = _half_plane((e[0] // 2, e[1] // 2))
         if w != (0, 0) and w not in gens:
             gens.append(w)

@@ -6,6 +6,7 @@ cannot hide on both sides of a comparison.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from pathlib import Path
 
 from isonorm.coorient import CoOrientation, EulcoSet, is_eulerian
@@ -125,6 +126,52 @@ def det_fraction(mat):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
+
+
+def rank_fraction(rows):
+    """Rank of an integer matrix by Fraction Gauss-Jordan elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
+                   None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def determinantal_divisors(mat):
+    """[D_1, ..., D_r] for an integer matrix of rank r (by
+    ``rank_fraction``), D_k the gcd of its k x k minors (by
+    ``det_fraction``).
+
+    The Smith divisors are the ratios D_k / D_(k-1), with D_0 = 1.  By
+    Laplace expansion D_(k-1) divides every k x k minor, so the scan of
+    those minors stops once their gcd is down to D_(k-1).  Zero rows and
+    columns give zero minors and are skipped.
+    """
+    rows = [i for i, row in enumerate(mat) if any(row)]
+    cols = [j for j in range(len(mat[0]) if mat else 0)
+            if any(row[j] for row in mat)]
+    out = [1]
+    for k in range(1, rank_fraction(mat) + 1):
+        g = 0
+        for rs, cs in product(combinations(rows, k), combinations(cols, k)):
+            minor = det_fraction([[mat[i][j] for j in cs] for i in rs])
+            g = gcd(g, int(minor))
+            if g == out[-1]:
+                break
+        out.append(g)
+    return out[1:]
 
 
 def brute_force_eulerian(m):

@@ -1,3 +1,7 @@
+import signal
+from functools import reduce
+from math import gcd
+
 import pytest
 
 from isonorm import census, coorient, homology
@@ -7,7 +11,8 @@ from isonorm.homology import (class_of, coboundary, evaluate,
 from isonorm.torus import TorusCollection, realize_map
 
 from _helpers import (STANDARD_SYMPLECTIC, TORUS_CROSS, TORUS_FAMILIES,
-                      WORDS, det_fraction, matmul, random_valid_map)
+                      WORDS, det_fraction, determinantal_divisors, matmul,
+                      random_valid_map)
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +23,44 @@ def census_builds():
 @pytest.fixture(scope="module")
 def torus_maps():
     return [realize_map(TorusCollection(f)) for f in TORUS_FAMILIES]
+
+
+def check_smith(mat):
+    """smith_normal_form(mat) against independent oracles: the divisors
+    are the ratios of the determinantal divisors, U = (U^-1)^-1 is an
+    integer matrix, and row i of U*mat has content d_i, so the rows past
+    the rank are zero."""
+    divisors, uinv = smith_normal_form(mat)
+    dets = determinantal_divisors(mat)
+    assert divisors == [d // p for p, d in zip([1] + dets, dets)]
+    u = homology.integer_inverse(uinv)  # raises unless U^-1 is unimodular
+    contents = [reduce(gcd, row, 0) for row in matmul(u, mat)]
+    assert contents == divisors + [0] * (len(mat) - len(divisors))
+
+
+def check_all(mats, seconds=20):
+    """check_smith on every matrix, failing with the matrix at hand when
+    the whole sweep passes ``seconds`` of wall time instead of hanging."""
+    mat = None
+
+    def expire(signum, frame):
+        raise AssertionError("Smith sweep passed %s s on %r" % (seconds, mat))
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        for mat in mats:
+            check_smith(mat)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Sweeping row t while a Euclid row swap had left the old pivot in column t
+# grew this matrix's entries to 357 bits by the 4th pivot, without end.
+DENSE_6X6 = [[-3, -1, 4, -3, 3, -5], [4, -1, 2, 3, -2, 1],
+             [3, -5, 2, -2, -1, 2], [-4, 2, 1, -1, 0, 2],
+             [3, -2, 0, -4, -2, -4], [-4, 3, -4, -2, 3, 4]]
 
 
 class TestSmithNormalForm:
@@ -31,65 +74,36 @@ class TestSmithNormalForm:
 
     @pytest.mark.parametrize("mat", CASES)
     def test_factorization_certificate(self, mat):
-        u, d, v = smith_normal_form([row[:] for row in mat])
-        # U * mat * V == D
-        prod = matmul(matmul(u, mat), v)
-        assert prod == d
-        # U, V unimodular
-        assert abs(det_fraction(u)) == 1
-        assert abs(det_fraction(v)) == 1
-        # D diagonal, non-negative, with divisibility
-        diag = []
-        for i, row in enumerate(d):
-            for j, x in enumerate(row):
-                if i != j:
-                    assert x == 0
-                else:
-                    diag.append(x)
-        diag = [x for x in diag if x != 0]
-        assert all(x > 0 for x in diag)
-        for a, b in zip(diag, diag[1:]):
-            assert b % a == 0
+        check_smith([row[:] for row in mat])
+
+    def test_divisors_of_cases(self):
+        assert [smith_normal_form(m)[0] for m in self.CASES] == [
+            [2, 4], [1], [], [1, 1, 90], [1, 6]]
+
+    def test_dense_six_by_six_finishes(self):
+        check_all([DENSE_6X6], seconds=1)
+        assert smith_normal_form(DENSE_6X6)[0] == [1, 1, 1, 1, 1, 9520]
 
     def test_random_matrices(self, rng):
-        for _ in range(30):
-            rows = rng.randint(1, 4)
-            cols = rng.randint(1, 4)
-            mat = [[rng.randint(-5, 5) for _ in range(cols)]
-                   for _ in range(rows)]
-            self.test_factorization_certificate(mat)
-
-
-class TestSmithInverse:
-    """U^-1 carried through the Smith elimination against the Fraction
-    Gauss-Jordan inverse of U."""
-
-    @staticmethod
-    def check(mat):
-        u, d, v, uinv = homology._smith(mat)
-        assert (u, d, v) == smith_normal_form(mat)
-        assert uinv == homology.integer_inverse(u)
-        identity = [[int(i == j) for j in range(len(u))]
-                    for i in range(len(u))]
-        assert matmul(u, uinv) == identity
-
-    def test_random_matrices(self, rng):
-        for _ in range(200):
-            rows = rng.randint(1, 6)
-            cols = rng.randint(1, 6)
-            self.check([[rng.randint(-5, 5) for _ in range(cols)]
-                        for _ in range(rows)])
+        mats = []
+        for _ in range(300):
+            rows = rng.randint(1, 7)
+            cols = rng.randint(1, 7)
+            mats.append([[rng.randint(-5, 5) for _ in range(cols)]
+                         for _ in range(rows)])
+        check_all(mats)
 
     def test_boundary_matrices(self, rng, census_builds, torus_maps):
         maps = [b.map for b in census_builds] + torus_maps
         maps += [random_valid_map(rng, rng.randint(1, 5)) for _ in range(20)]
+        mats = []
         for m in maps:
             # columns are the vertex circles in fundamental-cycle
             # coordinates, as homology_basis builds them
             _, nontree = homology._spanning_tree(m)
-            bmat = homology._vertex_boundaries(m, nontree)
-            if bmat:
-                self.check(bmat)
+            if nontree:
+                mats.append(homology._vertex_boundaries(m, nontree))
+        check_all(mats)
 
 
 # homology_basis walks of the WORDS maps and the TORUS_FAMILIES maps; the
@@ -114,8 +128,9 @@ class TestHomologyBasis:
         for build in census_builds:
             basis = homology_basis(build.map)
             assert len(basis) == 4
-            _, d, _ = smith_normal_form(intersection_form(build.map, basis))
-            assert [d[i][i] for i in range(4)] == [1, 1, 1, 1]
+            divisors, _ = smith_normal_form(
+                intersection_form(build.map, basis))
+            assert divisors == [1, 1, 1, 1]
 
     def test_pinned_walks(self, census_builds, torus_maps):
         assert tuple(homology_basis(b.map).walks

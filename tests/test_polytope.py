@@ -9,7 +9,8 @@ from isonorm.polytope import (DimensionError, LatticePolytope, convex_hull,
                               segment, serialize_polytope, support)
 
 from _helpers import (BALL4, FIXTURES, INTRO_VECTORS,
-                      hull_member_caratheodory, hull_vertices_oracle, pm)
+                      hull_member_caratheodory, hull_vertices_oracle, pm,
+                      rank_fraction)
 
 
 class TestConvexHull:
@@ -190,6 +191,31 @@ class TestMinkowskiSum:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             minkowski_sum(segment((1, 0)), segment((1, 0, 0)))
+
+
+class TestDim:
+    def test_matches_rank_oracle(self, rng):
+        # points spanning at most k directions from a base point, in Z^d:
+        # single points, collinear, coplanar and full-dimensional sets
+        seen = set()
+        for d in (2, 3, 4):
+            for k in range(d + 1):
+                for _ in range(15):
+                    base = [rng.randint(-5, 5) for _ in range(d)]
+                    dirs = [[rng.randint(-3, 3) for _ in range(d)]
+                            for _ in range(k)]
+                    pts = [base]
+                    for _ in range(rng.randint(k, k + 6)):
+                        cs = [rng.randint(-2, 2) for _ in dirs]
+                        pts.append([x + sum(c * v[i] for c, v in zip(cs, dirs))
+                                    for i, x in enumerate(base)])
+                    p = LatticePolytope(pts)
+                    first = p.vertices[0]
+                    rank = rank_fraction([[x - y for x, y in zip(v, first)]
+                                          for v in p.vertices[1:]])
+                    assert p.dim == rank
+                    seen.add((d, rank))
+        assert seen == {(d, r) for d in (2, 3, 4) for r in range(d + 1)}
 
 
 class TestIsP8:

@@ -113,7 +113,8 @@ class TestZonotopeDecompose:
             zonotope_decompose(convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)]))
 
     def test_odd_edges_rejected(self):
-        with pytest.raises(PolygonError):
+        # vertices that differ mod 2 are what makes an edge vector odd
+        with pytest.raises(PolygonError, match="congruent mod 2"):
             zonotope_decompose(convex_hull(pm([(1, 0), (0, 1)])))
 
     def test_point_rejected(self):
