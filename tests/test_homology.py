@@ -74,11 +74,7 @@ class TestSmithNormalForm:
 
     @pytest.mark.parametrize("mat", CASES)
     def test_factorization_certificate(self, mat):
-        check_smith([row[:] for row in mat])
-
-    def test_divisors_of_cases(self):
-        assert [smith_normal_form(m)[0] for m in self.CASES] == [
-            [2, 4], [1], [], [1, 1, 90], [1, 6]]
+        check_smith(mat)
 
     def test_dense_six_by_six_finishes(self):
         check_all([DENSE_6X6], seconds=1)
