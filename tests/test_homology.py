@@ -102,6 +102,26 @@ class TestSmithNormalForm:
         check_all(mats)
 
 
+class TestSmithInverse:
+    """The U^-1 returned by smith_normal_form, against U from the
+    Fraction Gauss-Jordan integer_inverse: both products are the
+    identity, and U^-1 * (U * mat) gives mat back."""
+
+    def test_random_matrices(self, rng):
+        for _ in range(200):
+            rows = rng.randint(1, 6)
+            cols = rng.randint(1, 6)
+            mat = [[rng.randint(-5, 5) for _ in range(cols)]
+                   for _ in range(rows)]
+            _, uinv = smith_normal_form(mat)
+            u = homology.integer_inverse(uinv)
+            identity = [[int(i == j) for j in range(rows)]
+                        for i in range(rows)]
+            assert matmul(u, uinv) == identity
+            assert matmul(uinv, u) == identity
+            assert matmul(uinv, matmul(u, mat)) == mat
+
+
 # homology_basis walks of the WORDS maps and the TORUS_FAMILIES maps; the
 # benchmark's dual-ball digests are taken in these coordinates
 WORDS_WALKS = (
