@@ -182,12 +182,15 @@ def smith_normal_form(mat):
                         done = False
             if done:
                 break
-        # ensure divisibility of the remaining block
-        bad = next((i for i in range(t + 1, rows)
-                    for j in range(t + 1, cols) if a[i][j] % a[t][t]), None)
-        if bad is not None:
-            row_op(t, bad, -1)
-            continue
+        # ensure divisibility of the remaining block; a unit pivot
+        # divides every entry (boundary matrices have only unit pivots)
+        if a[t][t] not in (1, -1):
+            bad = next((i for i in range(t + 1, rows)
+                        for j in range(t + 1, cols) if a[i][j] % a[t][t]),
+                       None)
+            if bad is not None:
+                row_op(t, bad, -1)
+                continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             uinv_cols[t] = [-x for x in uinv_cols[t]]

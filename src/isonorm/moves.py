@@ -12,6 +12,11 @@ parent edge was merged into, with matching direction.  Walks never enter
 the smoothing disk (they are edge-crossing sequences), so every parent walk
 transports.
 
+:func:`reduce_map` takes children that merge two distinct faces.  Two
+distinct disk faces merge into a disk, so on two or more vertices such a
+child is a valid map; the reduction rewires one pairing array, follows the
+faces by a union-find, and builds one map at the end.
+
 The intersection norm of a class is the support of the dual ball at it:
 :func:`norm` reads it as the largest pairing with an Eulerian class, with
 no hull.  All Eulerian classes agree mod 2, so :func:`norm_parity` needs
@@ -55,45 +60,57 @@ def smooth(m, vertex):
                                        _reconnect(m, vertex, 1)])
 
 
-def _reconnect(m, vertex, idx):
-    """Child ``idx`` of the smoothing at the vertex."""
-    h0, h1, h2, h3 = m.vertices[vertex]
-    joins = ((h0, h1), (h2, h3)) if idx == 0 else ((h1, h2), (h3, h0))
-    germs = {h0, h1, h2, h3}
-    partner = {}
-    for x, y in joins:
-        partner[x] = y
-        partner[y] = x
-    if m.num_vertices == 1:
-        return Child(None, True, "child has no vertices", None)
+def _chains(pairing, germs, idx):
+    """Walk the chains of parent edges merged through a smoothed vertex.
 
-    # walk chains of merged parent edges from each outside germ
-    outside = [g for g in range(m.n) if g not in germs]
-    chain_end = {}       # outside germ -> outside germ at the chain's far end
-    traversed_as = {}    # parent germ -> outside germ starting its chain
-    closed_loop = False
-    for g in outside:
-        if g in traversed_as:
+    ``germs`` are the vertex's four half-edges in CCW order, joined in
+    pairs as child ``idx`` joins them.  Returns (chain_end, traversed_as):
+    chain_end maps each outside germ whose edge enters the vertex to the
+    outside germ at the far end of its chain, and traversed_as maps each
+    germ whose edge a chain traverses, in that germ's direction, to the
+    chain's first germ.  Returns None when a parent edge lies on a closed
+    vertex-free loop through the vertex, which no chain from outside
+    reaches.
+    """
+    h0, h1, h2, h3 = germs
+    partner = ({h0: h1, h1: h0, h2: h3, h3: h2} if idx == 0
+               else {h1: h2, h2: h1, h3: h0, h0: h3})
+    chain_end = {}
+    traversed_as = {}
+    for x in germs:
+        g = pairing[x]
+        if g in germs or g in traversed_as:
             continue
-        # traverse edge(g) away from g's vertex, then through the joins
+        # traverse edge(g) into the vertex, then through the joins
         path = [g]
-        t = m.pairing[g]
+        t = x
         while t in germs:
             t = partner[t]
             path.append(t)
-            t = m.pairing[t]
-        # t is the far-end germ of the final parent edge, outside the vertex
+            t = pairing[t]
         chain_end[g] = t
         for q in path:
             traversed_as[q] = g
-    # any parent edge not reached from an outside germ lies on a closed
-    # vertex-free loop through the smoothed vertex
-    for x in germs:
-        if x not in traversed_as and m.pairing[x] not in traversed_as:
-            closed_loop = True
-    if closed_loop:
+    if any(x not in traversed_as and pairing[x] not in traversed_as
+           for x in germs):
+        return None
+    return chain_end, traversed_as
+
+
+def _reconnect(m, vertex, idx):
+    """Child ``idx`` of the smoothing at the vertex."""
+    if m.num_vertices == 1:
+        return Child(None, True, "child has no vertices", None)
+    germs = m.vertices[vertex]
+    chains = _chains(m.pairing, germs, idx)
+    if chains is None:
         return Child(None, True, "smoothing produces a vertex-free loop",
                      None)
+    chain_end, traversed_as = chains
+    outside = [g for g in range(m.n) if g not in germs]
+    for g in outside:  # an edge away from the vertex is its own chain
+        chain_end.setdefault(g, m.pairing[g])
+        traversed_as.setdefault(g, g)
 
     relabel = {g: i for i, g in enumerate(outside)}
     n_new = len(outside)
@@ -150,58 +167,83 @@ def eulco_union_check(m, vertex, basis=None):
     return True, holds, detail
 
 
-def opposed_face_pairs(m, vertex):
-    """Faces at the two pairs of opposite corners around a vertex.
-
-    Corner i lies between germs h_i and h_{i+1}; its face is the one to the
-    right of h_{i+1}.  Returns ((c0, c2), (c1, c3)).
-    """
-    h0, h1, h2, h3 = m.vertices[vertex]
-    c0, c1, c2, c3 = (m.face_of[h1], m.face_of[h2],
-                      m.face_of[h3], m.face_of[h0])
-    return (c0, c2), (c1, c3)
-
-
 def reduce_map(m):
     """Smooth at opposed distinct faces until at most two faces remain.
 
-    Returns (reduced_map, trace) with trace a list of
-    (vertex, child_index) steps taken on the successive maps.
+    Returns (reduced_map, trace) with trace a list of (vertex, child_index)
+    steps taken on the successive maps; a step smooths the first vertex,
+    in vertex and child order, whose child merges two distinct faces.
+
+    The two faces at the merged corners become one and every other face
+    stays, so a union-find over m's face ids follows the faces, and a
+    vertex whose opposed corners share faces is never a candidate again.
+    Two distinct disk faces merge into a disk, so on two or more vertices
+    the child is a valid map: no vertex-free loop, not disconnected.  The
+    steps rewire one pairing array in m's half-edge ids; each step keeps
+    the order of the half-edges, so a vertex's index is its rank among the
+    surviving vertices.  One map is built and validated, at the end.
     """
-    current = m
+    vertices = m.vertices
+    face_of = m.face_of
+    pairing = list(m.pairing)
+    root = list(range(len(m.faces)))  # union-find over m's face ids
+
+    def find(f):
+        while root[f] != f:
+            root[f] = root[root[f]]
+            f = root[f]
+        return f
+
+    faces = len(m.faces)
     trace = []
-    while len(current.faces) > 1:
-        candidates = []
-        for v in range(current.num_vertices):
-            (c0, c2), (c1, c3) = opposed_face_pairs(current, v)
-            # child 0 joins (h0,h1),(h2,h3) and merges corners 1 and 3;
-            # child 1 merges corners 0 and 2
-            if c1 != c3:
-                candidates.append((v, 0))
-            if c0 != c2:
-                candidates.append((v, 1))
-        if not candidates:
-            break  # every opposed pair coincides: two-faced fixpoint
-        child = None
-        for v, idx in candidates:
-            c = _reconnect(current, v, idx)
-            if not c.degenerate:
-                child = c
-                step = (v, idx)
+    gone = [False] * m.n
+    v = 0
+    while faces > 1:
+        for v in range(v, len(vertices)):
+            h0, h1, h2, h3 = vertices[v]
+            # child 0 joins (h0,h1),(h2,h3) and merges corners 1 and 3
+            # (faces of h2 and h0); child 1 merges corners 0 and 2
+            a, b = find(face_of[h2]), find(face_of[h0])
+            if a != b:
+                idx = 0
                 break
-        if child is None:
+            a, b = find(face_of[h1]), find(face_of[h3])
+            if a != b:
+                idx = 1
+                break
+        else:
+            break  # every opposed pair coincides: two-faced fixpoint
+        if len(vertices) - len(trace) == 1:
             raise MapError(
                 "reduction blocked: every face-merging smoothing would "
                 "create a vertex-free loop")
-        if len(child.map.faces) != len(current.faces) - 1:
-            raise AssertionError("smoothing at %r did not merge two faces"
+        step = (v - len(trace), idx)
+        germs = vertices[v]
+        chains = _chains(pairing, germs, idx)
+        if chains is None:
+            raise AssertionError("smoothing at %r made a vertex-free loop"
                                  % (step,))
-        current = child.map
+        for g, t in chains[0].items():
+            pairing[g] = t
+        for h in germs:
+            gone[h] = True
+        root[a] = b
+        faces -= 1
         trace.append(step)
-    if len(current.faces) > 2:
-        raise AssertionError("reduction stopped at %d faces"
-                             % len(current.faces))
-    return current, trace
+        v += 1
+    if faces > 2:
+        raise AssertionError("reduction stopped at %d faces" % faces)
+    kept = [h for h in range(m.n) if not gone[h]]
+    relabel = [0] * m.n
+    for i, h in enumerate(kept):
+        relabel[h] = i
+    reduced = CombinatorialMap([relabel[m.rotation[h]] for h in kept],
+                               [relabel[pairing[h]] for h in kept])
+    if len(reduced.faces) != faces:
+        raise AssertionError("%d smoothings left %d faces of %d"
+                             % (len(trace), len(reduced.faces),
+                                len(m.faces)))
+    return reduced, trace
 
 
 def norm_parity(m, basis=None):

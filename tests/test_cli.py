@@ -5,9 +5,9 @@ import json
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from isonorm import cli, homology, maps, polytope
+from isonorm import cli, homology, maps, polytope, torus
 
-from _helpers import CHAIN, FIXTURES, GOLDEN_BALLS
+from _helpers import CHAIN, FIXTURES, GOLDEN_BALLS, TORUS_FAMILIES
 
 
 def run(capsys, *argv):
@@ -198,6 +198,46 @@ class TestSmoothReduceParity:
             assert run(capsys, *argv) == (0, "odd\n", "")
             assert run(capsys, "--json", *argv) == (
                 0, '{"parity": "odd"}\n', "")
+
+
+class TestReducePins:
+    """`isonorm --json reduce` output, recorded when every step built a
+    new map."""
+
+    @staticmethod
+    def reduce_torus(capsys, tmp_path, families, num_vertices):
+        m = torus.realize_map(torus.TorusCollection(families))
+        assert m.num_vertices == num_vertices
+        path = tmp_path / "torus.map"
+        path.write_text(maps.serialize_map(m))
+        code, out, err = run(capsys, "--json", "reduce", str(path))
+        assert (code, err) == (0, "")
+        return json.loads(out)
+
+    def test_torus_family(self, capsys, tmp_path):
+        assert TORUS_FAMILIES[2] == (((1, 0), 2), ((0, 1), 2), ((1, 1), 1),
+                                     ((1, -1), 1))
+        assert self.reduce_torus(capsys, tmp_path, TORUS_FAMILIES[2],
+                                 14) == {
+            "trace": [[0, 0]] * 9 + [[1, 0], [1, 0], [2, 1]],
+            "map": "map V=2\nv0: 0 2 1 3\nv1: 4 6 5 7\n"
+                   "e: 0 6\ne: 1 7\ne: 2 5\ne: 3 4\n"}
+
+    def test_sixty_six_vertex_torus_map(self, capsys, tmp_path):
+        # drawn as in test_moves.seeded_torus_maps with seed 5
+        families = [((1, 2), 2), ((2, 1), 1), ((1, -2), 2), ((1, 3), 2)]
+        assert self.reduce_torus(capsys, tmp_path, families, 66) == {
+            "trace": ([[0, 0]] * 54 + [[0, 1]] + [[0, 0]] * 6 + [[0, 1]]
+                      + [[0, 0]] * 2 + [[1, 0]]),
+            "map": "map V=1\nv0: 0 3 1 2\ne: 0 1\ne: 2 3\n"}
+
+    def test_blocked_one_vertex_map_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "eight.map"
+        path.write_text("map V=1\nv0: 0 1 2 3\ne: 0 1\ne: 2 3\n")
+        for option in ([], ["--json"]):
+            assert run(capsys, *option, "reduce", str(path)) == (
+                1, "", "error: reduction blocked: every face-merging "
+                "smoothing would create a vertex-free loop\n")
 
 
 class TestRealizeTorus:

@@ -70,11 +70,16 @@ class TestSmithNormalForm:
         [[0, 0], [0, 0]],
         [[3, 1, 4], [1, 5, 9], [2, 6, 5]],
         [[2, 0], [0, 3], [0, 0]],
+        # a unit pivot first, then a block that needs the divisibility fix
+        [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
     ]
 
     @pytest.mark.parametrize("mat", CASES)
     def test_factorization_certificate(self, mat):
         check_smith(mat)
+
+    def test_divisibility_fix_after_unit_pivot(self):
+        assert smith_normal_form(self.CASES[-1])[0] == [1, 1, 6]
 
     def test_dense_six_by_six_finishes(self):
         check_all([DENSE_6X6], seconds=1)

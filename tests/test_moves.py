@@ -4,9 +4,10 @@ from itertools import product
 import pytest
 
 from isonorm import census, coorient, homology, polytope, torus
-from isonorm.maps import curves, parse_map, validate
-from isonorm.moves import (eulco_union_check, norm, norm_parity,
-                           opposed_face_pairs, reduce_map, smooth)
+from isonorm.maps import (CombinatorialMap, MapError, curves, parse_map,
+                          validate)
+from isonorm.moves import (eulco_union_check, norm, norm_parity, reduce_map,
+                           smooth)
 
 from _helpers import (CHAIN, EVEN_F2, FIGURE_EIGHT, FIXTURES, REDUCIBLE_F3,
                       TORUS_CROSS, TORUS_FAMILIES, WORDS, random_valid_map)
@@ -132,22 +133,40 @@ class TestReduce:
             reduced, _ = reduce_map(REDUCIBLE_F3)
             assert len(reduced.faces) == 1
 
-    def test_opposed_face_pairs_shape(self, census_builds):
-        m = census_builds[0].map
-        for v in range(m.num_vertices):
-            (c0, c2), (c1, c3) = opposed_face_pairs(m, v)
-            for f in (c0, c1, c2, c3):
-                assert 0 <= f < len(m.faces)
+    def test_one_vertex_maps_are_blocked(self):
+        # every one-vertex map: a 4-cycle rotation and one of three pairings
+        blocked = 0
+        for a, b, c in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1),
+                        (3, 1, 2), (3, 2, 1)):
+            rotation = [0] * 4
+            for x, y in ((0, a), (a, b), (b, c), (c, 0)):
+                rotation[x] = y
+            for pairing in ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)):
+                m = CombinatorialMap(rotation, pairing)
+                if len(m.faces) < 2:
+                    assert reduce_map(m) == (m, [])
+                    continue
+                with pytest.raises(MapError) as exc:
+                    reduce_map(m)
+                assert str(exc.value) == (
+                    "reduction blocked: every face-merging smoothing would "
+                    "create a vertex-free loop")
+                blocked += 1
+        assert blocked == 12
 
 
 def reduce_with_both_children(m):
-    """The reduction loop as it was when every step built both children."""
+    """The reduction as it was when each step built a new map, with both
+    children of each candidate."""
     current = m
     trace = []
     while len(current.faces) > 1:
         candidates = []
         for v in range(current.num_vertices):
-            (c0, c2), (c1, c3) = opposed_face_pairs(current, v)
+            # the faces at corners 0..3 of the vertex; corner i lies
+            # between germs h_i and h_(i+1)
+            h0, h1, h2, h3 = current.vertices[v]
+            c0, c1, c2, c3 = (current.face_of[h] for h in (h1, h2, h3, h0))
             if c1 != c3:
                 candidates.append((v, 0))
             if c0 != c2:
@@ -158,6 +177,8 @@ def reduce_with_both_children(m):
             child = smooth(current, v).children[idx]
             if not child.degenerate:
                 break
+        else:
+            raise MapError("every candidate child is degenerate")
         current = child.map
         trace.append((v, idx))
     return current, trace
@@ -181,11 +202,17 @@ class TestReduceBuildsOneChild:
     the steps that building both children took."""
 
     def _check(self, m):
+        try:
+            expected, expected_trace = reduce_with_both_children(m)
+        except MapError:
+            with pytest.raises(MapError, match="^reduction blocked: "):
+                reduce_map(m)
+            return False
         reduced, trace = reduce_map(m)
-        expected, expected_trace = reduce_with_both_children(m)
         assert trace == expected_trace
         assert (reduced.rotation, reduced.pairing) == (
             expected.rotation, expected.pairing)
+        return True
 
     @pytest.mark.parametrize("i", [1, 2, 3, 4])
     def test_census_fixtures(self, i):
@@ -203,6 +230,12 @@ class TestReduceBuildsOneChild:
     def test_reducible_fixtures(self):
         for m in (REDUCIBLE_F3, EVEN_F2):
             self._check(m)
+
+    def test_random_maps(self, rng):
+        outcomes = [self._check(random_valid_map(rng, rng.randint(2, 40)))
+                    for _ in range(300)]
+        # both reductions that finish and reductions that are blocked
+        assert set(outcomes) == {True, False}
 
 
 def parity_oracle(m, walks):
