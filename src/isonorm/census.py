@@ -289,54 +289,36 @@ def word_to_map(curves):
 def has_separating_cycle(build_or_map):
     """Whether the collection graph contains a separating simple cycle.
 
-    An embedded cycle is separating iff its mod-2 homology class vanishes,
-    which it does iff it crosses every basis walk an even number of times;
-    a dual walk crosses a cycle once for each shared edge.  Simple cycles
-    (connected subgraphs with all vertex degrees two) are enumerated over
-    edge subsets, which is fine at the census scale.
+    A simple cycle separates iff it bounds a set of faces, so the cycles
+    that separate are the edge sets with exactly one side in some proper
+    non-empty face set.  The check runs over the 2^F - 2 such face sets
+    and asks whether that edge set is one simple cycle: every vertex meets
+    none or two of its edges, and they are connected.  A one-faced map has
+    no proper face set and so no separating cycle.
     """
     m = build_or_map.map if isinstance(build_or_map, Genus2Build) \
         else build_or_map
-    walks = homology.homology_basis(m).walks
-    walk_edges = [[m.edge_index(h) for h in w] for w in walks]
-    ne = m.num_edges
-    for mask in range(1, 1 << ne):
-        deg = [0] * m.num_vertices
-        comp = set()
-        for e in range(ne):
-            if mask >> e & 1:
-                a, b = m.edges[e]
-                deg[m.vertex_of[a]] += 1
-                deg[m.vertex_of[b]] += 1
-                comp.add(m.vertex_of[a])
-                comp.add(m.vertex_of[b])
-        if any(d not in (0, 2) for d in deg):
+    sides = [(m.face_of[a], m.face_of[b]) for a, b in m.edges]
+    ends = [(m.vertex_of[a], m.vertex_of[b]) for a, b in m.edges]
+    for faces in range(1, (1 << len(m.faces)) - 1):
+        at = {}  # vertex -> the ends of the cut edges there
+        for (f, g), (u, v) in zip(sides, ends):
+            if (faces >> f ^ faces >> g) & 1:
+                at.setdefault(u, []).append(v)
+                at.setdefault(v, []).append(u)
+        if any(len(nbrs) != 2 for nbrs in at.values()):
             continue
-        if not _connected(m, mask, comp):
-            continue
-        if all(sum(mask >> e & 1 for e in we) % 2 == 0
-               for we in walk_edges):
+        start = next(iter(at))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for u in at[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if len(seen) == len(at):
             return True
     return False
-
-
-def _connected(m, mask, comp):
-    start = next(iter(comp))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for e in range(m.num_edges):
-            if mask >> e & 1:
-                a, b = m.edges[e]
-                va, vb = m.vertex_of[a], m.vertex_of[b]
-                if va == v and vb not in seen:
-                    seen.add(vb)
-                    stack.append(vb)
-                elif vb == v and va not in seen:
-                    seen.add(va)
-                    stack.append(va)
-    return seen == comp
 
 
 # ---------------------------------------------------------------------------

@@ -184,10 +184,9 @@ def _cmd_smooth(args):
     m = _load_map(args.map)
     if not (0 <= args.vertex < m.num_vertices):
         raise DomainFailure("vertex %d out of range" % args.vertex)
-    result = moves.smooth(m, args.vertex)
     parts = []
     doc = {"children": []}
-    for i, child in enumerate(result.children):
+    for i, child in enumerate(moves.smooth(m, args.vertex)):
         if child.degenerate:
             parts.append("child %d: degenerate (%s)\n" % (i, child.reason))
             doc["children"].append({"degenerate": True,

@@ -9,10 +9,10 @@ positive, two negative crossings per vertex circle) reads: every vertex has
 exactly two designated germs among its four.
 
 The class set [Eulco] comes from ``eulco_classes``, a frontier dynamic
-programme over the edges that never builds a co-orientation.  Two Eulerian
-co-orientations differ by twice an integer cochain, so all Eulerian classes
-agree mod 2 and the class of one of them, ``from_curve_orientations``,
-gives the norm's parity.
+programme over the edges that never builds a co-orientation.  The norm's
+parity needs no co-orientation at all: every co-orientation gives each
+walk step +1 or -1, so class coordinate i is congruent to the length of
+walk i mod 2 (``moves.norm_parity``).
 ``enumerate_eulerian`` (backtracking) lists the co-orientations themselves;
 the library does not call it, and the tests keep it as an oracle for the
 class set.
@@ -88,22 +88,6 @@ def vertex_type(m, nu, v):
     # the two strands through v use the rotation-opposite germ pairs
     # (0, 2) and (1, 3); a strand alternates iff its germ flags agree
     return "alternating" if signs[0] == signs[2] else "non-alternating"
-
-
-def from_curve_orientations(m):
-    """Co-orientation induced by orienting every curve of the map.
-
-    Each edge's designated half-edge is the one pointing along the curve's
-    traversal direction.  The result is Eulerian with all vertices
-    non-alternating.
-    """
-    from .maps import curves
-
-    designated = [None] * m.num_edges
-    for strand in curves(m):
-        for h in strand:
-            designated[m.edge_index(h)] = h
-    return CoOrientation(m, designated)
 
 
 def enumerate_eulerian(m):

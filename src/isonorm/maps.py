@@ -410,6 +410,8 @@ def parse_map(text):
             try:
                 nv = int(parts[1][2:])
             except ValueError:
+                nv = -1
+            if nv < 0:
                 raise MapParseError("line %d: bad header %r" % (lineno, line))
         elif line.startswith("v"):
             head, _, rest = line.partition(":")

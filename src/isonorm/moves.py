@@ -14,13 +14,15 @@ transports.
 
 :func:`reduce_map` takes children that merge two distinct faces.  Two
 distinct disk faces merge into a disk, so on two or more vertices such a
-child is a valid map; the reduction rewires one pairing array, follows the
-faces by a union-find, and builds one map at the end.
+child is a valid map; the reduction rewires one pairing array and follows
+the faces by a union-find.  It and :func:`smooth` both build the child map
+by one compaction of a rewired pairing array, :func:`_compact`.
 
 The intersection norm of a class is the support of the dual ball at it:
 :func:`norm` reads it as the largest pairing with an Eulerian class, with
-no hull.  All Eulerian classes agree mod 2, so :func:`norm_parity` needs
-only one Eulerian co-orientation.
+no hull.  Any co-orientation gives each walk step +1 or -1, so coordinate
+i of every Eulerian class is len(w_i) mod 2, and :func:`norm_parity`
+reads the parity from the walk lengths.
 """
 
 from __future__ import annotations
@@ -45,19 +47,12 @@ class Child:
         return tuple(self.step_transport[h] for h in walk)
 
 
-class SmoothingResult:
-    def __init__(self, parent, vertex, children):
-        self.parent = parent
-        self.vertex = vertex
-        self.children = children
-
-
 def smooth(m, vertex):
-    """Both reconnections of the map at the given vertex."""
+    """Both reconnections of the map at the given vertex: two Child
+    objects, child 0 and child 1."""
     if not (0 <= vertex < m.num_vertices):
         raise ValueError("vertex %d out of range" % vertex)
-    return SmoothingResult(m, vertex, [_reconnect(m, vertex, 0),
-                                       _reconnect(m, vertex, 1)])
+    return _reconnect(m, vertex, 0), _reconnect(m, vertex, 1)
 
 
 def _chains(pairing, germs, idx):
@@ -107,31 +102,36 @@ def _reconnect(m, vertex, idx):
         return Child(None, True, "smoothing produces a vertex-free loop",
                      None)
     chain_end, traversed_as = chains
-    outside = [g for g in range(m.n) if g not in germs]
-    for g in outside:  # an edge away from the vertex is its own chain
-        chain_end.setdefault(g, m.pairing[g])
-        traversed_as.setdefault(g, g)
-
-    relabel = {g: i for i, g in enumerate(outside)}
-    n_new = len(outside)
-    rotation = [0] * n_new
-    pairing = [0] * n_new
-    for g in outside:
-        rotation[relabel[g]] = relabel[m.rotation[g]]
-    for g in outside:
-        pairing[relabel[g]] = relabel[chain_end[g]]
+    pairing = list(m.pairing)
+    for g, t in chain_end.items():
+        pairing[g] = t
+    gone = [h in germs for h in range(m.n)]
     try:
-        child = CombinatorialMap(rotation, pairing)
+        child, relabel = _compact(m, pairing, gone)
     except InvalidMap as exc:
         return Child(None, True, str(exc), None)
 
     # step transport: a parent step at germ q (crossing right-to-left of q)
-    # maps to the child germ whose chain traverses edge(q) in q's direction
-    transport = {}
+    # maps to the child germ whose chain traverses edge(q) in q's
+    # direction; an edge away from the vertex is its own chain
+    transport = {q: relabel[q] for q in range(m.n) if not gone[q]}
     for q, start in traversed_as.items():
         transport[q] = relabel[start]
         transport[m.pairing[q]] = relabel[chain_end[start]]
     return Child(child, False, None, transport)
+
+
+def _compact(m, pairing, gone):
+    """The map on m's half-edges that are not gone, in order, with m's
+    rotation and the given pairing; returns (map, relabel), relabel taking
+    each kept half-edge id of m to its id in the map."""
+    kept = [h for h in range(m.n) if not gone[h]]
+    relabel = [0] * m.n
+    for i, h in enumerate(kept):
+        relabel[h] = i
+    return (CombinatorialMap([relabel[m.rotation[h]] for h in kept],
+                             [relabel[pairing[h]] for h in kept]),
+            relabel)
 
 
 def eulco_union_check(m, vertex, basis=None):
@@ -149,14 +149,14 @@ def eulco_union_check(m, vertex, basis=None):
     if basis is None:
         basis = homology.homology_basis(m)
     walks = tuple(basis)
-    result = smooth(m, vertex)
-    if any(c.degenerate for c in result.children):
-        reasons = [c.reason for c in result.children if c.degenerate]
+    children = smooth(m, vertex)
+    if any(c.degenerate for c in children):
+        reasons = [c.reason for c in children if c.degenerate]
         return False, None, {"reason": "; ".join(reasons)}
     parent_classes = coorient.eulco_classes(m, walks)
     child_classes = [
         coorient.eulco_classes(c.map, [c.transport_walk(w) for w in walks])
-        for c in result.children]
+        for c in children]
     union = child_classes[0] | child_classes[1]
     holds = union == parent_classes
     detail = {
@@ -233,12 +233,7 @@ def reduce_map(m):
         v += 1
     if faces > 2:
         raise AssertionError("reduction stopped at %d faces" % faces)
-    kept = [h for h in range(m.n) if not gone[h]]
-    relabel = [0] * m.n
-    for i, h in enumerate(kept):
-        relabel[h] = i
-    reduced = CombinatorialMap([relabel[m.rotation[h]] for h in kept],
-                               [relabel[pairing[h]] for h in kept])
+    reduced, _ = _compact(m, pairing, gone)
     if len(reduced.faces) != faces:
         raise AssertionError("%d smoothings left %d faces of %d"
                              % (len(trace), len(reduced.faces),
@@ -249,14 +244,14 @@ def reduce_map(m):
 def norm_parity(m, basis=None):
     """"even" iff the intersection norm takes only even values.
 
-    Two Eulerian co-orientations differ by twice an integer cochain, so
-    all Eulerian classes agree mod 2 and any one of them decides.
+    Each walk step crosses one edge, which any co-orientation gives +1 or
+    -1, so coordinate i of every Eulerian class is len(w_i) mod 2.
     """
     if basis is None:
         basis = homology.homology_basis(m)
-    signs = coorient.from_curve_orientations(m).signs()
-    c = homology.class_of(m, signs, basis)
-    return "even" if all(x % 2 == 0 for x in c) else "odd"
+    walks = tuple(basis)
+    homology.check_steps(m, walks)
+    return "even" if all(len(w) % 2 == 0 for w in walks) else "odd"
 
 
 def norm(m, a, basis=None):

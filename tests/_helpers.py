@@ -10,7 +10,8 @@ from math import gcd
 from pathlib import Path
 
 from isonorm.coorient import CoOrientation, EulcoSet, is_eulerian
-from isonorm.maps import CombinatorialMap, InvalidMap
+from isonorm.homology import homology_basis
+from isonorm.maps import CombinatorialMap, InvalidMap, curves
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -102,6 +103,20 @@ def random_valid_map(rng, num_vertices):
             return CombinatorialMap(tuple(rotation), tuple(pairing))
         except InvalidMap:
             pass
+
+
+def from_curve_orientations(m):
+    """Co-orientation induced by orienting every curve of the map.
+
+    Each edge's designated half-edge is the one pointing along the curve's
+    traversal direction.  The result is Eulerian with all vertices
+    non-alternating.
+    """
+    designated = [None] * m.num_edges
+    for strand in curves(m):
+        for h in strand:
+            designated[m.edge_index(h)] = h
+    return CoOrientation(m, designated)
 
 
 # Independent oracles ------------------------------------------------------
@@ -296,3 +311,38 @@ def strand_count_oracle(m):
             g = m.pairing[h]
             h = m.rotation[m.rotation[g]]
     return count
+
+
+def separating_cycle_oracle(m):
+    """Whether the map's graph has a separating simple cycle, over all
+    2^E edge sets: a simple cycle (connected, every vertex degree 0 or 2)
+    separates iff it crosses every homology basis walk an even number of
+    times, i.e. iff its mod-2 class vanishes."""
+    walks = homology_basis(m).walks
+    walk_edges = [[m.edge_index(h) for h in w] for w in walks]
+    ends = [(m.vertex_of[a], m.vertex_of[b]) for a, b in m.edges]
+    for mask in range(1, 1 << m.num_edges):
+        chosen = [e for e in range(m.num_edges) if mask >> e & 1]
+        deg = [0] * m.num_vertices
+        for e in chosen:
+            for v in ends[e]:
+                deg[v] += 1
+        if any(d not in (0, 2) for d in deg):
+            continue
+        comp = {v for e in chosen for v in ends[e]}
+        seen = {ends[chosen[0]][0]}
+        stack = list(seen)
+        while stack:
+            v = stack.pop()
+            for e in chosen:
+                if v in ends[e]:
+                    for u in ends[e]:
+                        if u not in seen:
+                            seen.add(u)
+                            stack.append(u)
+        if seen != comp:
+            continue
+        if all(sum(mask >> e & 1 for e in we) % 2 == 0
+               for we in walk_edges):
+            return True
+    return False

@@ -11,8 +11,9 @@ from isonorm.census import (WordError, canonical_word, census as run_census,
 from isonorm.maps import (canonical_key, curves as map_curves, parse_map,
                           validate)
 
-from _helpers import (FIGURE_EIGHT, FIXTURES, GOLDEN_BALLS, INTRO_VECTORS,
-                      TORUS_CROSS, WORDS)
+from _helpers import (CHAIN, FIGURE_EIGHT, FIXTURES, GOLDEN_BALLS,
+                      INTRO_VECTORS, TORUS_CROSS, WORDS, random_valid_map,
+                      separating_cycle_oracle)
 
 NEG_WORD = ((("a1", 1, 0), ("a2", -1, 0)), (("b1", 1, 0), ("b2", 1, 0)))
 
@@ -259,6 +260,20 @@ class TestSeparatingCycles:
 
     def test_torus_curves_do_not_separate(self):
         assert not has_separating_cycle(TORUS_CROSS)
+
+    def test_matches_edge_set_oracle(self, census_reps, rng):
+        cases = ([b.map for b in census_reps]
+                 + list(exhaustive_unicellular_maps())
+                 + [FIGURE_EIGHT, TORUS_CROSS, CHAIN]
+                 + [random_valid_map(rng, rng.randint(1, 8))
+                    for _ in range(1000)])
+        answers = set()
+        for m in cases:
+            answer = has_separating_cycle(m)
+            assert answer == separating_cycle_oracle(m), (m.rotation,
+                                                          m.pairing)
+            answers.add(answer)
+        assert answers == {True, False}
 
 
 class TestMainTheorem:

@@ -200,6 +200,68 @@ class TestSmoothReduceParity:
                 0, '{"parity": "odd"}\n', "")
 
 
+class TestSmoothPins:
+    """`isonorm smooth` output, recorded when smooth built its children
+    from relabelled rotation and pairing arrays."""
+
+    CENSUS1 = {
+        0: ("map V=2\nv0: 0 3 1 2\nv1: 4 7 5 6\n"
+            "e: 0 1\ne: 2 7\ne: 3 4\ne: 5 6\n",
+            "map V=2\nv0: 0 3 1 2\nv1: 4 7 5 6\n"
+            "e: 0 1\ne: 2 7\ne: 3 4\ne: 5 6\n"),
+        1: ("map V=2\nv0: 0 2 1 3\nv1: 4 7 5 6\n"
+            "e: 0 1\ne: 2 5\ne: 3 6\ne: 4 7\n",
+            "map V=2\nv0: 0 2 1 3\nv1: 4 7 5 6\n"
+            "e: 0 1\ne: 2 5\ne: 3 6\ne: 4 7\n"),
+        2: (None,
+            "map V=2\nv0: 0 2 1 3\nv1: 4 7 5 6\n"
+            "e: 0 1\ne: 2 6\ne: 3 7\ne: 4 5\n"),
+    }
+    TORUS = {
+        0: ("map V=2\nv0: 0 3 1 2\nv1: 4 6 5 7\n"
+            "e: 0 5\ne: 1 4\ne: 2 7\ne: 3 6\n",
+            "map V=2\nv0: 0 3 1 2\nv1: 4 6 5 7\n"
+            "e: 0 4\ne: 1 5\ne: 2 7\ne: 3 6\n"),
+        1: ("map V=2\nv0: 0 3 1 2\nv1: 4 6 5 7\n"
+            "e: 0 7\ne: 1 6\ne: 2 5\ne: 3 4\n",
+            "map V=2\nv0: 0 3 1 2\nv1: 4 6 5 7\n"
+            "e: 0 6\ne: 1 7\ne: 2 5\ne: 3 4\n"),
+        2: ("map V=2\nv0: 0 3 1 2\nv1: 4 7 5 6\n"
+            "e: 0 5\ne: 1 4\ne: 2 6\ne: 3 7\n",
+            "map V=2\nv0: 0 3 1 2\nv1: 4 7 5 6\n"
+            "e: 0 5\ne: 1 4\ne: 2 7\ne: 3 6\n"),
+    }
+
+    @staticmethod
+    def check(capsys, path, pins):
+        for vertex, children in pins.items():
+            text = ""
+            doc = []
+            for i, child in enumerate(children):
+                if child is None:
+                    text += "child %d: degenerate (map is disconnected)\n" % i
+                    doc.append({"degenerate": True,
+                                "reason": "map is disconnected"})
+                else:
+                    text += "child %d:\n%s" % (i, child)
+                    doc.append({"degenerate": False, "map": child})
+            assert run(capsys, "smooth", path, str(vertex)) == (0, text, "")
+            code, out, err = run(capsys, "--json", "smooth", path,
+                                 str(vertex))
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {"children": doc}
+
+    def test_census_map(self, capsys):
+        self.check(capsys, fx("census1.map"), self.CENSUS1)
+
+    def test_torus_map(self, capsys, tmp_path):
+        m = torus.realize_map(torus.TorusCollection(TORUS_FAMILIES[0]))
+        assert m.num_vertices == 3
+        path = tmp_path / "torus.map"
+        path.write_text(maps.serialize_map(m))
+        self.check(capsys, str(path), self.TORUS)
+
+
 class TestReducePins:
     """`isonorm --json reduce` output, recorded when every step built a
     new map."""

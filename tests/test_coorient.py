@@ -4,13 +4,13 @@ import pytest
 
 from isonorm import census, coorient, homology, moves, polytope
 from isonorm.coorient import (CoOrientation, enumerate_eulerian,
-                              eulco_classes, from_curve_orientations,
-                              is_eulerian, vertex_type)
+                              eulco_classes, is_eulerian, vertex_type)
 from isonorm.maps import curves
 from isonorm.torus import TorusCollection, realize_map
 
 from _helpers import (BALL2, FIGURE_EIGHT, REDUCIBLE_F3, TORUS_CROSS, WORDS,
-                      brute_force_eulerian, random_valid_map)
+                      brute_force_eulerian, from_curve_orientations,
+                      random_valid_map)
 
 
 def torus_map(families):
@@ -170,7 +170,7 @@ class TestClasses:
         build = census_builds[0]
         checked = 0
         for v in range(build.map.num_vertices):
-            for child in moves.smooth(build.map, v).children:
+            for child in moves.smooth(build.map, v):
                 if child.degenerate:
                     continue
                 walks = [child.transport_walk(w) for w in build.walks]

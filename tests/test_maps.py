@@ -316,6 +316,11 @@ class TestTextFormat:
         with pytest.raises(MapParseError):
             parse_map("map V=%d\nv0: 0 1 2 3\ne: 0 1\ne: 2 3\n" % 10**30)
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(MapParseError,
+                           match=r"^line 1: bad header 'map V=-5'$"):
+            parse_map("map V=-5\nv0: 0 1 2 3\ne: 0 1\ne: 2 3\n")
+
     def test_serialization_is_deterministic(self, census_builds):
         m = census_builds[0].map
         assert serialize_map(m) == serialize_map(parse_map(

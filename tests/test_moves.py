@@ -4,10 +4,10 @@ from itertools import product
 import pytest
 
 from isonorm import census, coorient, homology, polytope, torus
-from isonorm.maps import (CombinatorialMap, MapError, curves, parse_map,
-                          validate)
-from isonorm.moves import (eulco_union_check, norm, norm_parity, reduce_map,
-                           smooth)
+from isonorm.maps import (CombinatorialMap, InvalidMap, MapError, curves,
+                          parse_map, validate)
+from isonorm.moves import (Child, _chains, eulco_union_check, norm,
+                           norm_parity, reduce_map, smooth)
 
 from _helpers import (CHAIN, EVEN_F2, FIGURE_EIGHT, FIXTURES, REDUCIBLE_F3,
                       TORUS_CROSS, TORUS_FAMILIES, WORDS, random_valid_map)
@@ -20,11 +20,10 @@ def census_builds():
 
 class TestSmooth:
     def test_single_vertex_map_degenerates(self):
-        result = smooth(FIGURE_EIGHT, 0)
-        assert all(c.degenerate for c in result.children)
+        assert all(c.degenerate for c in smooth(FIGURE_EIGHT, 0))
 
     def test_disconnecting_child_is_degenerate(self):
-        first, second = smooth(CHAIN, 0).children
+        first, second = smooth(CHAIN, 0)
         assert first.degenerate and first.map is None
         assert first.reason == "map is disconnected"
         assert not second.degenerate
@@ -34,7 +33,7 @@ class TestSmooth:
     def test_census_children_have_two_vertices(self, census_builds):
         for build in census_builds:
             for v in range(build.map.num_vertices):
-                for child in smooth(build.map, v).children:
+                for child in smooth(build.map, v):
                     if child.degenerate:
                         continue
                     assert child.map.num_vertices == 2
@@ -51,7 +50,7 @@ class TestSmooth:
                         strand_of.get(m.vertex_of[h], set()) | {i}
             for v in range(m.num_vertices):
                 distinct = len(strand_of[v])
-                for child in smooth(m, v).children:
+                for child in smooth(m, v):
                     if child.degenerate:
                         continue
                     diff = len(curves(child.map)) - len(curves(m))
@@ -64,12 +63,94 @@ class TestSmooth:
         build = census_builds[1]
         m = build.map
         for v in range(m.num_vertices):
-            for child in smooth(m, v).children:
+            for child in smooth(m, v):
                 if child.degenerate:
                     continue
                 for w in build.walks:
                     tw = child.transport_walk(w)
                     assert len(tw) == len(w)
+
+
+def reconnect_oracle(m, vertex, idx):
+    """Child idx of the smoothing at the vertex, built the way smooth built
+    it before the reduction's compaction served both: relabelled rotation
+    and pairing arrays from the chain ends, with every edge away from the
+    vertex as its own chain."""
+    if m.num_vertices == 1:
+        return Child(None, True, "child has no vertices", None)
+    germs = m.vertices[vertex]
+    chains = _chains(m.pairing, germs, idx)
+    if chains is None:
+        return Child(None, True, "smoothing produces a vertex-free loop",
+                     None)
+    chain_end, traversed_as = chains
+    outside = [g for g in range(m.n) if g not in germs]
+    for g in outside:
+        chain_end.setdefault(g, m.pairing[g])
+        traversed_as.setdefault(g, g)
+    relabel = {g: i for i, g in enumerate(outside)}
+    rotation = [0] * len(outside)
+    pairing = [0] * len(outside)
+    for g in outside:
+        rotation[relabel[g]] = relabel[m.rotation[g]]
+        pairing[relabel[g]] = relabel[chain_end[g]]
+    try:
+        child = CombinatorialMap(rotation, pairing)
+    except InvalidMap as exc:
+        return Child(None, True, str(exc), None)
+    transport = {}
+    for q, start in traversed_as.items():
+        transport[q] = relabel[start]
+        transport[m.pairing[q]] = relabel[chain_end[start]]
+    return Child(child, False, None, transport)
+
+
+class TestSmoothMatchesReconnectOracle:
+    """smooth builds its children by the reduction's compaction; they
+    must equal the children that relabelled arrays built."""
+
+    @staticmethod
+    def check(m):
+        reasons = set()
+        for v in range(m.num_vertices):
+            children = smooth(m, v)
+            assert len(children) == 2
+            for idx, child in enumerate(children):
+                expected = reconnect_oracle(m, v, idx)
+                assert (child.degenerate, child.reason) == (
+                    expected.degenerate, expected.reason)
+                reasons.add(child.reason)
+                if child.degenerate:
+                    assert child.map is None
+                    assert child.step_transport is None
+                    continue
+                assert (child.map.rotation, child.map.pairing) == (
+                    expected.map.rotation, expected.map.pairing)
+                assert child.step_transport == expected.step_transport
+        return reasons
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_census_fixtures(self, i):
+        m, _ = parse_map((FIXTURES / ("census%d.map" % i)).read_text())
+        self.check(m)
+
+    @pytest.mark.parametrize("families", TORUS_FAMILIES)
+    def test_torus_families(self, families):
+        self.check(torus.realize_map(torus.TorusCollection(families)))
+
+    def test_pinned_maps(self):
+        assert self.check(CHAIN) == {None, "map is disconnected",
+                                     "smoothing produces a vertex-free loop"}
+        assert self.check(FIGURE_EIGHT) == {"child has no vertices"}
+
+    def test_random_maps(self, rng):
+        reasons = set()
+        for _ in range(300):
+            reasons |= self.check(random_valid_map(rng, rng.randint(1, 12)))
+        # valid children and every kind of degenerate one
+        assert reasons == {None, "child has no vertices",
+                           "smoothing produces a vertex-free loop",
+                           "map is disconnected"}
 
 
 class TestUnionProperty:
@@ -93,7 +174,7 @@ class TestUnionProperty:
         parent_classes = coorient.enumerate_eulerian(m).classes(build.walks)
         parent_ball = polytope.convex_hull(parent_classes)
         for v in range(m.num_vertices):
-            for child in smooth(m, v).children:
+            for child in smooth(m, v):
                 if child.degenerate:
                     continue
                 cw = [child.transport_walk(w) for w in build.walks]
@@ -107,7 +188,7 @@ class TestUnionProperty:
         parent_classes = coorient.enumerate_eulerian(m).classes(build.walks)
         base = next(iter(parent_classes))
         for v in range(m.num_vertices):
-            for child in smooth(m, v).children:
+            for child in smooth(m, v):
                 if child.degenerate:
                     continue
                 cw = [child.transport_walk(w) for w in build.walks]
@@ -174,7 +255,7 @@ def reduce_with_both_children(m):
         if not candidates:
             break
         for v, idx in candidates:
-            child = smooth(current, v).children[idx]
+            child = smooth(current, v)[idx]
             if not child.degenerate:
                 break
         else:
@@ -256,6 +337,18 @@ class TestParity:
         assert len(EVEN_F2.faces) == 2
         assert all(EVEN_F2.face_of[a] != EVEN_F2.face_of[b]
                    for a, b in EVEN_F2.edges)
+        assert norm_parity(EVEN_F2) == "even"
+
+    def test_reads_no_class(self, census_builds, monkeypatch):
+        # the parity comes from the walk lengths, not from a class vector
+        def fail(*args, **kwargs):
+            raise AssertionError("norm_parity computed a class")
+
+        monkeypatch.setattr(homology, "class_of", fail)
+        monkeypatch.setattr(coorient, "eulco_classes", fail)
+        for build in census_builds:
+            assert norm_parity(build.map, build.walks) == "odd"
+            assert norm_parity(build.map) == "odd"
         assert norm_parity(EVEN_F2) == "even"
 
     def test_torus_cross_is_odd(self):
