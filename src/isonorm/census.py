@@ -119,33 +119,29 @@ def word_label(curves):
     return "{" + ", ".join(parts) + "}"
 
 
-def connectors(curves):
-    """Connecting arcs of a word: (start port, end port, twist, curve, slot).
+def _connector_chord(u, v, twist):
+    """Chord of the connector from port u to port v with word exponent
+    ``twist``."""
+    return annulus.chord(PORTS[u], PORTS[v], twist + _base(u, v))
+
+
+def _chords(curves):
+    """Chords of the connecting arcs of a word, in curve order.
 
     Connector j of a curve runs from the exit end-point of letter j to the
     entry end-point of letter j+1, twisting as many times as the word says.
     """
     _check_word(curves)
-    out = []
-    for ci, curve in enumerate(curves):
-        n = len(curve)
-        for j, (letter, sign, twist) in enumerate(curve):
-            exit_port = (letter, "+" if sign > 0 else "-")
-            nletter, nsign, _ = curve[(j + 1) % n]
-            entry_port = (nletter, "-" if nsign > 0 else "+")
-            out.append((exit_port, entry_port, twist, ci, j))
-    return out
-
-
-def _conn_chord(conn):
-    u, v, twist = conn[0], conn[1], conn[2]
-    return annulus.chord(PORTS[u], PORTS[v], twist + _base(u, v))
+    return [_connector_chord((letter, "+" if sign > 0 else "-"),
+                             (nletter, "-" if nsign > 0 else "+"), twist)
+            for curve in curves
+            for (letter, sign, twist), (nletter, nsign, _)
+            in zip(curve, curve[1:] + curve[:1])]
 
 
 def self_intersection(curves):
     """Total crossings of the collection, all inside the annulus."""
-    conns = connectors(curves)
-    chords = [_conn_chord(c) for c in conns]
+    chords = _chords(curves)
     total = 0
     for i, ch in enumerate(chords):
         total += annulus.count_self_crossings(ch)
@@ -205,12 +201,10 @@ STANDARD_SYMPLECTIC = ((0, 1, 0, 0), (-1, 0, 0, 0),
 class Genus2Build:
     """A word realized as a combinatorial map with its basis walks."""
 
-    def __init__(self, word, map_, walks, arc_edges, arc_forward):
+    def __init__(self, word, map_, walks):
         self.word = word
         self.map = map_
-        self.walks = walks            # dual walks in coordinate order
-        self.arc_edges = arc_edges    # letter -> edge index
-        self.arc_forward = arc_forward  # letter -> forward half-edge
+        self.walks = walks  # in coordinate order, one step across an arc
 
     def standard_basis(self):
         """Whether the four walks pair as a standard symplectic basis.
@@ -235,8 +229,7 @@ def word_to_map(curves):
     WordError when some curve has no crossing at all (a vertex-free
     component, not representable as a 4-valent map).
     """
-    conns = connectors(curves)
-    chords = [_conn_chord(c) for c in conns]
+    chords = _chords(curves)
 
     # crossings: (conn index, parameter, branch) pairs per vertex
     crossings = []
@@ -254,18 +247,18 @@ def word_to_map(curves):
                 crossings.append(((i, t1), (j, t2), sign * ORIENT))
     if not crossings:
         raise WordError("collection has no crossings")
-    signs, conn_passages = passages(crossings, len(conns))
+    signs, conn_passages = passages(crossings, len(chords))
 
     # each curve's strand of passages; an arc lies on the edge that ends
     # at the first passage after it
     strands = []
     arc_slots = {}  # letter -> (curve, index of next passage, sign)
-    conn_by_slot = {(c[3], c[4]): idx for idx, c in enumerate(conns)}
+    conn_passages = iter(conn_passages)  # the chords are in curve order
     for ci, curve in enumerate(curves):
         strand = []
-        for j, (letter, sign, _) in enumerate(curve):
+        for letter, sign, _ in curve:
             arc_slots[letter] = (ci, len(strand), sign)
-            strand.extend(conn_passages[conn_by_slot[(ci, j)]])
+            strand.extend(next(conn_passages))
         if not strand:
             raise WordError(
                 "curve %s has no crossings (vertex-free component)"
@@ -273,20 +266,15 @@ def word_to_map(curves):
         strands.append(strand)
     m, outs = from_strands(signs, strands)
 
-    arc_forward = {}
-    arc_edges = {}
-    for letter, (ci, slot, sign) in arc_slots.items():
+    walks = []
+    for letter, along in BASIS_SPEC:
+        ci, slot, sign = arc_slots[letter]
         out = outs[ci][slot - 1]
-        arc_forward[letter] = out if sign > 0 else m.pairing[out]
-        arc_edges[letter] = m.edge_index(out)
-    walks = tuple(
-        (arc_forward[letter] if forward else m.pairing[arc_forward[letter]],)
-        for letter, forward in BASIS_SPEC)
-    return Genus2Build(canonical_word(curves), m, walks, arc_edges,
-                       arc_forward)
+        walks.append((out if (sign > 0) == along else m.pairing[out],))
+    return Genus2Build(canonical_word(curves), m, tuple(walks))
 
 
-def has_separating_cycle(build_or_map):
+def has_separating_cycle(m):
     """Whether the collection graph contains a separating simple cycle.
 
     A simple cycle separates iff it bounds a set of faces, so the cycles
@@ -296,8 +284,6 @@ def has_separating_cycle(build_or_map):
     none or two of its edges, and they are connected.  A one-faced map has
     no proper face set and so no separating cycle.
     """
-    m = build_or_map.map if isinstance(build_or_map, Genus2Build) \
-        else build_or_map
     sides = [(m.face_of[a], m.face_of[b]) for a, b in m.edges]
     ends = [(m.vertex_of[a], m.vertex_of[b]) for a, b in m.edges]
     for faces in range(1, (1 << len(m.faces)) - 1):
@@ -403,8 +389,7 @@ def _three_crossing_matchings(window):
         u, v = matching[len(twists)]
         for t in window:
             if (u, v, t) not in chords:
-                chords[u, v, t] = annulus.chord(PORTS[u], PORTS[v],
-                                                t + _base(u, v))
+                chords[u, v, t] = _connector_chord(u, v, t)
             c = chords[u, v, t]
             more = total
             for prev in (c,) + placed:
@@ -458,7 +443,7 @@ def census(twist_bound=2):
         if build.map.genus != 2:
             raise AssertionError("%s has genus %d"
                                  % (word_label(build.word), build.map.genus))
-        if has_separating_cycle(build):
+        if has_separating_cycle(build.map):
             raise AssertionError("%s has a separating cycle"
                                  % word_label(build.word))
     return reps
@@ -495,24 +480,19 @@ INTRO_POLYTOPE_VECTORS = (
 
 def verify_main_theorem(twist_bound=2):
     """End-to-end check that no census dual ball lies in the eight-vertex
-    family, while the intro polytope does."""
+    family, while the intro polytope does.  The report is the JSON
+    document of ``isonorm --json verify-theorem``."""
     reps = census(twist_bound)
-    report = {"classes": len(reps), "balls": [], "pass": True}
+    balls = []
     for build in reps:
         ball = build.dual_ball()
-        entry = {
-            "word": word_label(build.word),
-            "vertices": len(ball.vertices),
-            "is_p8": polytope.is_p8(ball),
-            "ball": ball,
-        }
-        if entry["is_p8"]:
-            report["pass"] = False
-        report["balls"].append(entry)
+        balls.append({"word": word_label(build.word),
+                      "vertices": len(ball.vertices),
+                      "is_p8": polytope.is_p8(ball)})
     intro = polytope.convex_hull(
         [v for v in INTRO_POLYTOPE_VECTORS]
         + [tuple(-x for x in v) for v in INTRO_POLYTOPE_VECTORS])
-    report["intro_is_p8"] = polytope.is_p8(intro)
-    report["pass"] = (report["pass"] and report["intro_is_p8"]
-                      and len(reps) == 4)
-    return report
+    intro_is_p8 = polytope.is_p8(intro)
+    return {"classes": len(reps), "balls": balls, "intro_is_p8": intro_is_p8,
+            "pass": (not any(e["is_p8"] for e in balls) and intro_is_p8
+                     and len(reps) == 4)}

@@ -31,13 +31,13 @@ def _read(path):
 
 
 def _load_map(path):
+    """The map of a map file and the list of its ``e:`` lines."""
     try:
-        m, _ = maps.parse_map(_read(path))
+        return maps.parse_map(_read(path))
     except maps.MapParseError as exc:
         raise ParseFailure("%s: %s" % (path, exc))
     except maps.InvalidMap as exc:
         raise DomainFailure("%s: invalid map: %s" % (path, exc))
-    return m
 
 
 def _load_polytope(path):
@@ -47,11 +47,13 @@ def _load_polytope(path):
         raise ParseFailure("%s: %s" % (path, exc))
 
 
-def parse_walks(text, m):
-    """Walks file: one dual walk per line, steps ``e<edge><+|->``.
+def parse_walks(text, edges):
+    """Walks file: one dual walk per line, steps ``e<k><+|->``.
 
-    A ``+`` step crosses the edge right-to-left of its first half-edge (the
-    first id on the edge's ``e:`` line in the map file), ``-`` the reverse.
+    Edge k is the k-th ``e:`` line of the map file, ``edges[k]`` as
+    :func:`maps.parse_map` returns it.  ``e<k>+`` is the step on the first
+    half-edge of that line (it crosses the edge right-to-left of that
+    half-edge), ``e<k>-`` the step on the second.
     """
     walks = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -66,29 +68,26 @@ def parse_walks(text, m):
                 e = int(tok[1:-1])
             except ValueError:
                 raise ValueError("line %d: bad step %r" % (lineno, tok))
-            if not (0 <= e < m.num_edges):
+            if not (0 <= e < len(edges)):
                 raise ValueError("line %d: no edge %d" % (lineno, e))
-            steps.append((e, 1 if tok[-1] == "+" else -1))
-        walks.append(homology.walk_from_edge_steps(m, steps))
+            steps.append(edges[e][0 if tok[-1] == "+" else 1])
+        walks.append(tuple(steps))
     if not walks:
         raise ValueError("walks file contains no walks")
     return tuple(walks)
 
 
-def serialize_walks(m, walks, comment=None):
-    lines = []
-    if comment:
-        lines.append("# " + comment)
-    for w in walks:
-        lines.append(" ".join(
-            "e%d%s" % (e, "+" if s > 0 else "-")
-            for e, s in homology.walk_to_edge_steps(m, w)))
-    return "\n".join(lines) + "\n"
+def serialize_walks(m, walks):
+    """Walks against the ``e:`` lines of ``maps.serialize_map(m)``: step h
+    is ``e<m.edge_index(h)>``, ``+`` when h is the smaller half-edge."""
+    return "".join(" ".join(
+        "e%d%s" % (m.edge_index(h), "+" if h < m.pairing[h] else "-")
+        for h in w) + "\n" for w in walks)
 
 
-def _load_walks(path, m):
+def _load_walks(path, m, edges):
     try:
-        walks = parse_walks(_read(path), m)
+        walks = parse_walks(_read(path), edges)
     except ValueError as exc:
         raise ParseFailure("%s: %s" % (path, exc))
     try:
@@ -99,9 +98,9 @@ def _load_walks(path, m):
     return walks
 
 
-def _basis(args, m):
+def _basis(args, m, edges):
     if getattr(args, "walks", None):
-        return _load_walks(args.walks, m)
+        return _load_walks(args.walks, m, edges)
     return homology.homology_basis(m).walks
 
 
@@ -136,7 +135,7 @@ def _cmd_validate(args):
 
 
 def _cmd_faces(args):
-    m = _load_map(args.map)
+    m, _ = _load_map(args.map)
     lines = ["F=%d" % len(m.faces)]
     for i, face in enumerate(m.faces):
         lines.append("f%d: %s" % (i, " ".join(str(h) for h in face)))
@@ -146,8 +145,8 @@ def _cmd_faces(args):
 
 
 def _cmd_dualball(args):
-    m = _load_map(args.map)
-    basis = _basis(args, m)
+    m, edges = _load_map(args.map)
+    basis = _basis(args, m, edges)
     classes = sorted(coorient.eulco_classes(m, basis))
     ball = polytope.convex_hull(classes)
     if args.format == "off":
@@ -170,8 +169,8 @@ def _off_document(ball):
 
 
 def _cmd_norm(args):
-    m = _load_map(args.map)
-    basis = _basis(args, m)
+    m, edges = _load_map(args.map)
+    basis = _basis(args, m, edges)
     a = tuple(args.coord)
     if len(a) != len(basis):
         raise DomainFailure("class vector needs %d coordinates" % len(basis))
@@ -181,7 +180,7 @@ def _cmd_norm(args):
 
 
 def _cmd_smooth(args):
-    m = _load_map(args.map)
+    m, _ = _load_map(args.map)
     if not (0 <= args.vertex < m.num_vertices):
         raise DomainFailure("vertex %d out of range" % args.vertex)
     parts = []
@@ -200,7 +199,7 @@ def _cmd_smooth(args):
 
 
 def _cmd_reduce(args):
-    m = _load_map(args.map)
+    m, _ = _load_map(args.map)
     try:
         reduced, trace = moves.reduce_map(m)
     except maps.MapError as exc:
@@ -213,8 +212,8 @@ def _cmd_reduce(args):
 
 
 def _cmd_parity(args):
-    m = _load_map(args.map)
-    basis = _basis(args, m)
+    m, edges = _load_map(args.map)
+    basis = _basis(args, m, edges)
     parity = moves.norm_parity(m, basis)
     _emit(args, parity + "\n", {"parity": parity})
     return 0
@@ -279,20 +278,14 @@ def _cmd_verify_theorem(args):
     except ValueError as exc:
         raise DomainFailure(str(exc))
     lines = ["classes: %d" % report["classes"]]
-    doc = {"classes": report["classes"], "balls": [],
-           "intro_is_p8": report["intro_is_p8"],
-           "pass": report["pass"]}
     for entry in report["balls"]:
         lines.append("%s: %d vertices, is_p8=%s" % (
             entry["word"], entry["vertices"],
             "true" if entry["is_p8"] else "false"))
-        doc["balls"].append({"word": entry["word"],
-                             "vertices": entry["vertices"],
-                             "is_p8": entry["is_p8"]})
     lines.append("intro polytope is_p8=%s"
                  % ("true" if report["intro_is_p8"] else "false"))
     lines.append("PASS" if report["pass"] else "FAIL")
-    _emit(args, "\n".join(lines) + "\n", doc)
+    _emit(args, "\n".join(lines) + "\n", report)
     return 0 if report["pass"] else 1
 
 

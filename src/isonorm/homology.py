@@ -47,26 +47,6 @@ def vertex_circle(m, v):
     return tuple(m.vertices[v])
 
 
-def walk_from_edge_steps(m, steps):
-    """Convert (edge_index, +1|-1) steps to half-edge steps.
-
-    +1 crosses right-to-left of the edge's first (smaller) half-edge.
-    """
-    out = []
-    for e, s in steps:
-        a, b = m.edges[e]
-        out.append(a if s > 0 else b)
-    return tuple(out)
-
-
-def walk_to_edge_steps(m, walk):
-    out = []
-    for h in walk:
-        e = m.edge_index(h)
-        out.append((e, 1 if m.edges[e][0] == h else -1))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Cochains
 # ---------------------------------------------------------------------------

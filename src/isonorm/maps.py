@@ -376,7 +376,8 @@ def canonical_form(m, allow_reflection=True):
 #
 # Blank lines and '#' comments are ignored.  Edge ids used by walk files are
 # the 0-based order of the 'e:' lines; the first half-edge on an 'e:' line is
-# the edge's positive side (see homology.evaluate).
+# the edge's positive side (see cli.parse_walks).  serialize_map writes the
+# edges in m.edges order, the smaller half-edge first.
 # ---------------------------------------------------------------------------
 
 def serialize_map(m):

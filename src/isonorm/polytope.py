@@ -52,9 +52,11 @@ class LatticePolytope:
 
 
 def _affine_rank(points):
+    # eliminate the d x (n-1) transpose of the differences, so that the
+    # U^-1 that smith_normal_form builds is d x d, not (n-1) x (n-1)
     base = points[0]
-    diffs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
-    return len(homology.smith_normal_form(diffs)[0])
+    cols = [[x - y for x, y in zip(p, base)] for p in points[1:]]
+    return len(homology.smith_normal_form([list(r) for r in zip(*cols)])[0])
 
 
 def in_convex_hull(point, points):

@@ -121,6 +121,71 @@ class TestDualBall:
         assert code == 2
 
 
+def renumber_edges(map_text, walks_text, order, swap):
+    """A map file with its ``e:`` lines reordered, the k-th new line being
+    old line ``order[k]``, and the ids swapped on the old lines in ``swap``;
+    and the walks file renumbered to match: edge k is the k-th ``e:`` line,
+    and ``+`` steps on its first id."""
+    lines = map_text.splitlines()
+    old = [line.split()[1:] for line in lines if line.startswith("e:")]
+    new = ["e: %s %s" % tuple(old[k][::-1] if k in swap else old[k])
+           for k in order]
+    index = {k: i for i, k in enumerate(order)}
+
+    def step(tok):
+        k = int(tok[1:-1])
+        return "e%d%s" % (index[k], "+-"[(tok[-1] == "-") != (k in swap)])
+
+    walks = [" ".join(step(tok) for tok in line.split("#", 1)[0].split())
+             for line in walks_text.splitlines()]
+    return ("\n".join([line for line in lines if not line.startswith("e:")]
+                      + new) + "\n",
+            "\n".join(walks) + "\n")
+
+
+class TestWalksFiles:
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order, swap", [
+        (lambda k: list(range(1, k)) + [0], ()),
+        (lambda k: list(range(k))[::-1], ()),
+        (lambda k: list(range(k)), (0, 2, 4))],
+        ids=["first_last", "reversed", "swapped"])
+    def test_steps_follow_the_map_files_edge_lines(self, capsys, tmp_path,
+                                                   i, order, swap):
+        map_text = (FIXTURES / ("census%d.map" % i)).read_text()
+        walks_text = (FIXTURES / ("census%d.walks" % i)).read_text()
+        k = sum(line.startswith("e:") for line in map_text.splitlines())
+        map_text, walks_text = renumber_edges(map_text, walks_text,
+                                              order(k), swap)
+        mp, wk = tmp_path / "moved.map", tmp_path / "moved.walks"
+        mp.write_text(map_text)
+        wk.write_text(walks_text)
+        for command, coords in ((["--json", "dualball"], []),
+                                (["norm"], ["3", "-1", "2", "1"]),
+                                (["parity"], [])):
+            want = run(capsys, *command, fx("census%d.map" % i), *coords,
+                       "--walks", fx("census%d.walks" % i))
+            got = run(capsys, *command, str(mp), *coords, "--walks", str(wk))
+            assert got == want
+        if i == 1:
+            assert run(capsys, "norm", str(mp), "3", "-1", "2", "1",
+                       "--walks", str(wk)) == (0, "7\n", "")
+
+    def test_census_walks_read_back_against_their_map(self, capsys,
+                                                      tmp_path):
+        code, out, _ = run(capsys, "census")
+        assert code == 0
+        blocks = out.split("word: ")[1:]
+        assert len(blocks) == 4
+        for block in blocks:
+            head, ball = block.split("# dual ball\n")
+            map_text, walks_text = head.split("\n", 1)[1].split("walks:\n")
+            (tmp_path / "c.map").write_text(map_text)
+            (tmp_path / "c.walks").write_text(walks_text)
+            assert run(capsys, "dualball", str(tmp_path / "c.map"),
+                       "--walks", str(tmp_path / "c.walks")) == (0, ball, "")
+
+
 class TestNorm:
     def test_basis_vector_norms_are_one(self, capsys):
         for coord in (["1", "0", "0", "0"], ["0", "0", "0", "1"]):
@@ -446,12 +511,15 @@ def _class_set_input(draw):
                           max_size=5))
     dim = draw(st.integers(1, 5))
     try:
-        m, _ = maps.parse_map(map_text)
+        m, edges = maps.parse_map(map_text)
     except (maps.MapParseError, maps.InvalidMap):
         m = None
     if m is not None and draw(st.booleans()):
         basis = homology.homology_basis(m).walks
-        walks = cli.serialize_walks(m, basis).splitlines()
+        # tokens against the e: lines of the drawn text, in their order
+        step = {h: "e%d%s" % (k, sign) for k, edge in enumerate(edges)
+                for h, sign in zip(edge, "+-")}
+        walks = [" ".join(step[h] for h in w) for w in basis] or [""]
         dim = len(basis) or dim
         tokens = walks[0].split()
         if tokens and draw(st.booleans()):

@@ -217,6 +217,35 @@ class TestDim:
                     seen.add((d, rank))
         assert seen == {(d, r) for d in (2, 3, 4) for r in range(d + 1)}
 
+    @pytest.mark.parametrize("size", [1, 2, 7, 60, 400])
+    def test_large_sets_match_rank_oracle(self, rng, monkeypatch, size):
+        # up to 400 points in Z^4 spanning k = 0..4 directions (a single
+        # point, collinear, coplanar, ...); the elimination is d x (n-1)
+        shapes = []
+        smith = polytope.homology.smith_normal_form
+
+        def recorded(mat):
+            shapes.append(len(mat))
+            return smith(mat)
+
+        monkeypatch.setattr(polytope.homology, "smith_normal_form", recorded)
+        for k in range(5):
+            base = [rng.randint(-9, 9) for _ in range(4)]
+            dirs = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(k)]
+            pts = []
+            for _ in range(size):
+                cs = [rng.randint(-50, 50) for _ in dirs]
+                pts.append([x + sum(c * v[i] for c, v in zip(cs, dirs))
+                            for i, x in enumerate(base)])
+            p = LatticePolytope(pts)
+            first = p.vertices[0]
+            rank = rank_fraction([[x - y for x, y in zip(v, first)]
+                                  for v in p.vertices[1:]])
+            assert p.dim == rank
+            if size >= 60:
+                assert rank == rank_fraction(dirs)
+        assert shapes and max(shapes) <= 4
+
 
 class TestIsP8:
     def test_intro_polytope_is_member(self):
