@@ -15,6 +15,8 @@ standard symplectic pairing of the basis walks).
 
 from __future__ import annotations
 
+import functools
+
 from . import annulus, coorient, homology, polytope
 from .annulus import Endpoint
 from .maps import (CombinatorialMap, InvalidMap, canonical_key, from_strands,
@@ -119,10 +121,22 @@ def word_label(curves):
     return "{" + ", ".join(parts) + "}"
 
 
+@functools.cache
 def _connector_chord(u, v, twist):
     """Chord of the connector from port u to port v with word exponent
-    ``twist``."""
+    ``twist``; memoised for the life of the process, one entry per
+    connector met."""
     return annulus.chord(PORTS[u], PORTS[v], twist + _base(u, v))
+
+
+@functools.cache
+def _shifts(c1, c2):
+    """The translates of chord c2 that cross chord c1, as a tuple (see
+    :func:`annulus.crossing_shifts`); a chord paired with itself counts
+    its self-crossings.  Memoised for the life of the process: the table
+    holds one entry per chord pair met, and grows with the twist bound.
+    """
+    return tuple(annulus.crossing_shifts(c1, c2, self_pair=(c1 == c2)))
 
 
 def _chords(curves):
@@ -142,12 +156,8 @@ def _chords(curves):
 def self_intersection(curves):
     """Total crossings of the collection, all inside the annulus."""
     chords = _chords(curves)
-    total = 0
-    for i, ch in enumerate(chords):
-        total += annulus.count_self_crossings(ch)
-        for j in range(i + 1, len(chords)):
-            total += annulus.count_crossings(ch, chords[j])
-    return total
+    return sum(len(_shifts(ci, cj)) for i, ci in enumerate(chords)
+               for cj in chords[i:])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +237,8 @@ def word_to_map(curves):
 
     Returns a Genus2Build whose map has one vertex per crossing; raises
     WordError when some curve has no crossing at all (a vertex-free
-    component, not representable as a 4-valent map).
+    component, not representable as a 4-valent map).  Chords and shifts
+    come from the memoised :func:`_connector_chord` and :func:`_shifts`.
     """
     chords = _chords(curves)
 
@@ -235,8 +246,7 @@ def word_to_map(curves):
     crossings = []
     for i, ci in enumerate(chords):
         for j in range(i, len(chords)):
-            for k in annulus.crossing_shifts(ci, chords[j],
-                                             self_pair=(i == j)):
+            for k in _shifts(ci, chords[j]):
                 hit = annulus.segment_intersection(
                     ci, annulus.chord(*chords[j], 0, shift=k))
                 if hit is None:
@@ -368,18 +378,9 @@ def _three_crossing_matchings(window):
     crossings with the chords already placed.  A prefix is dropped as
     soon as the total exceeds three.  Per matching the twists come out
     in the order of ``itertools.product(window, repeat=4)``.  Chords and
-    crossing counts are memoised by chord for the length of the search.
+    crossing counts come from the process-wide :func:`_connector_chord`
+    and :func:`_shifts` tables, which :func:`word_to_map` then reuses.
     """
-    chords = {}
-    counts = {}
-
-    def crossings(c1, c2):
-        # connectors of one matching share no port, so c1 == c2 only
-        # when a chord meets itself
-        if (c1, c2) not in counts:
-            counts[c1, c2] = (annulus.count_self_crossings(c1) if c1 == c2
-                              else annulus.count_crossings(c1, c2))
-        return counts[c1, c2]
 
     def extend(matching, twists, placed, total):
         if len(twists) == len(matching):
@@ -388,12 +389,12 @@ def _three_crossing_matchings(window):
             return
         u, v = matching[len(twists)]
         for t in window:
-            if (u, v, t) not in chords:
-                chords[u, v, t] = _connector_chord(u, v, t)
-            c = chords[u, v, t]
+            c = _connector_chord(u, v, t)
             more = total
             for prev in (c,) + placed:
-                more += crossings(prev, c)
+                # connectors of one matching share no port, so prev == c
+                # only when a chord meets itself
+                more += len(_shifts(prev, c))
                 if more > 3:
                     break
             else:
@@ -411,8 +412,11 @@ def census(twist_bound=2):
     Searches the port matchings with twists in the window for the words
     with exactly three crossings, realizes them as maps, keeps the
     one-faced ones and deduplicates up to isomorphism with reflection.
-    Returns a list of Genus2Build representatives sorted by curve count
-    (descending), with separating-cycle and genus cross-checks applied.
+    Many words give one (rotation, pairing), so each distinct map is
+    keyed once; the chord tables behind :func:`_shifts` stay for the
+    life of the process and grow with the twist bound.  Returns a list of
+    Genus2Build representatives sorted by curve count (descending), with
+    separating-cycle and genus cross-checks applied.
     These are the one-faced classes the word model reaches, not all of
     them: :func:`exhaustive_unicellular_maps` lists six classes, and the
     census finds four.
@@ -421,6 +425,7 @@ def census(twist_bound=2):
         raise ValueError("twist_bound must be at least 2")
     window = range(-twist_bound, twist_bound + 1)
     found = {}
+    keys = {}  # map -> its canonical key
     for matching, twists in _three_crossing_matchings(window):
         word = _matching_to_word(matching, twists)
         try:
@@ -430,7 +435,9 @@ def census(twist_bound=2):
         m = build.map
         if len(m.faces) != 1:
             continue
-        key = canonical_key(m, allow_reflection=True)
+        key = keys.get(m)
+        if key is None:
+            key = keys[m] = canonical_key(m, allow_reflection=True)
         # prefer representatives whose walks form a genuine basis
         rank = (not build.standard_basis(), word_label(build.word))
         prev = found.get(key)

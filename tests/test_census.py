@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -8,8 +9,8 @@ from isonorm.census import (WordError, canonical_word, census as run_census,
                             exhaustive_unicellular_maps, has_separating_cycle,
                             reverse_curve, self_intersection,
                             verify_main_theorem, word_label, word_to_map)
-from isonorm.maps import (canonical_key, curves as map_curves, parse_map,
-                          validate)
+from isonorm.maps import (canonical_key, curves as map_curves, from_strands,
+                          parse_map, passages, validate)
 
 from _helpers import (CHAIN, FIGURE_EIGHT, FIXTURES, GOLDEN_BALLS,
                       INTRO_VECTORS, TORUS_CROSS, WORDS, random_valid_map,
@@ -165,6 +166,66 @@ def product_oracle(twist_bound):
     return out
 
 
+def word_to_map_oracle(curves):
+    """word_to_map without the chord and shift tables: every chord is
+    built with annulus.chord and every chord pair of every word gets its
+    own crossing_shifts call, as the census did before it memoised them."""
+    census._check_word(curves)
+    chords = []
+    for curve in curves:
+        for (letter, sign, twist), (nletter, nsign, _) in zip(
+                curve, curve[1:] + curve[:1]):
+            u = (letter, "+" if sign > 0 else "-")
+            v = (nletter, "-" if nsign > 0 else "+")
+            chords.append(annulus.chord(census.PORTS[u], census.PORTS[v],
+                                        twist + census._base(u, v)))
+    crossings = []
+    for i, ci in enumerate(chords):
+        for j in range(i, len(chords)):
+            for k in annulus.crossing_shifts(ci, chords[j],
+                                             self_pair=(i == j)):
+                hit = annulus.segment_intersection(
+                    ci, annulus.chord(*chords[j], 0, shift=k))
+                if hit is None:
+                    raise AssertionError(
+                        "chords %r and %r shifted by %d do not cross"
+                        % (ci, chords[j], k))
+                t1, t2, sign = hit
+                crossings.append(((i, t1), (j, t2), sign * census.ORIENT))
+    if not crossings:
+        raise WordError("collection has no crossings")
+    signs, conn_passages = passages(crossings, len(chords))
+    strands = []
+    arc_slots = {}
+    conn_passages = iter(conn_passages)
+    for ci, curve in enumerate(curves):
+        strand = []
+        for letter, sign, _ in curve:
+            arc_slots[letter] = (ci, len(strand), sign)
+            strand.extend(next(conn_passages))
+        if not strand:
+            raise WordError(
+                "curve %s has no crossings (vertex-free component)"
+                % word_label([curve]))
+        strands.append(strand)
+    m, outs = from_strands(signs, strands)
+    walks = []
+    for letter, along in census.BASIS_SPEC:
+        ci, slot, sign = arc_slots[letter]
+        out = outs[ci][slot - 1]
+        walks.append((out if (sign > 0) == along else m.pairing[out],))
+    return m.rotation, m.pairing, tuple(walks), canonical_word(curves)
+
+
+def _realize(build, word):
+    """(rotation, pairing, walks, word) of a word, or the exception that
+    ``build`` raises on it as (type, message)."""
+    try:
+        return build(word)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
 class TestCensus:
     @pytest.mark.parametrize("bound, count", [(2, 2581), (3, 3957)])
     def test_search_matches_product_oracle(self, bound, count):
@@ -172,6 +233,53 @@ class TestCensus:
         found = list(census._three_crossing_matchings(window))
         assert len(found) == count
         assert found == product_oracle(bound)
+
+    def test_word_to_map_matches_uncached_oracle(self):
+        def cached(word):
+            b = word_to_map(word)
+            return b.map.rotation, b.map.pairing, b.walks, b.word
+
+        outcomes = Counter()
+        for matching, twists in census._three_crossing_matchings(
+                range(-2, 3)):
+            word = census._matching_to_word(matching, twists)
+            got = _realize(cached, word)
+            assert got == _realize(word_to_map_oracle, word), word
+            outcomes[isinstance(got[0], type)] += 1
+        assert sum(outcomes.values()) == 2581
+        assert outcomes[True] and outcomes[False]
+
+    def test_each_shift_and_key_computed_once(self, monkeypatch):
+        census._shifts.cache_clear()
+        census._connector_chord.cache_clear()
+        real_shifts = annulus.crossing_shifts
+        real_key = census.canonical_key
+        real_word_to_map = census.word_to_map
+        shift_args = Counter()
+        keyed = Counter()
+        one_faced = set()
+
+        def crossing_shifts(c1, c2, self_pair=False):
+            shift_args[c1, c2, self_pair] += 1
+            return real_shifts(c1, c2, self_pair=self_pair)
+
+        def key(m, allow_reflection=True):
+            keyed[m.rotation, m.pairing] += 1
+            return real_key(m, allow_reflection=allow_reflection)
+
+        def realize(word):
+            build = real_word_to_map(word)
+            if len(build.map.faces) == 1:
+                one_faced.add((build.map.rotation, build.map.pairing))
+            return build
+
+        monkeypatch.setattr(annulus, "crossing_shifts", crossing_shifts)
+        monkeypatch.setattr(census, "canonical_key", key)
+        monkeypatch.setattr(census, "word_to_map", realize)
+        assert len(run_census(2)) == 4
+        assert shift_args and max(shift_args.values()) == 1
+        assert set(keyed) == one_faced and max(keyed.values()) == 1
+        assert len(one_faced) == 41
 
     def test_exactly_four_classes(self, census_reps):
         assert len(census_reps) == 4
