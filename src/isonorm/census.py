@@ -19,7 +19,7 @@ import functools
 
 from . import annulus, coorient, homology, polytope
 from .annulus import Endpoint
-from .maps import (CombinatorialMap, InvalidMap, canonical_key, from_strands,
+from .maps import (CombinatorialMap, canonical_key, from_strands, one_faced,
                    passages)
 
 LETTERS = ("a1", "b1", "a2", "b2")
@@ -139,6 +139,24 @@ def _shifts(c1, c2):
     return tuple(annulus.crossing_shifts(c1, c2, self_pair=(c1 == c2)))
 
 
+@functools.cache
+def _crossings(c1, c2):
+    """The exact crossing (t1, t2, sign) of chord c1 with each translate
+    of c2 in :func:`_shifts`, as :func:`annulus.segment_intersection`
+    gives it.  Memoised for the life of the process like :func:`_shifts`;
+    callers ask only for pairs that cross, so the table holds one entry
+    per crossing chord pair of the words realized.
+    """
+    out = []
+    for k in _shifts(c1, c2):
+        hit = annulus.segment_intersection(c1, annulus.chord(*c2, 0, shift=k))
+        if hit is None:
+            raise AssertionError("chords %r and %r shifted by %d do not cross"
+                                 % (c1, c2, k))
+        out.append(hit)
+    return tuple(out)
+
+
 def _chords(curves):
     """Chords of the connecting arcs of a word, in curve order.
 
@@ -232,29 +250,18 @@ class Genus2Build:
         return polytope.convex_hull(self.eulco_classes())
 
 
-def word_to_map(curves):
-    """Realize a word with minimal-position connecting arcs.
-
-    Returns a Genus2Build whose map has one vertex per crossing; raises
-    WordError when some curve has no crossing at all (a vertex-free
-    component, not representable as a 4-valent map).  Chords and shifts
-    come from the memoised :func:`_connector_chord` and :func:`_shifts`.
-    """
+def _realize(curves):
+    """The rotation, pairing and basis walks of a word, before any map
+    object is built (see :func:`word_to_map`)."""
     chords = _chords(curves)
 
     # crossings: (conn index, parameter, branch) pairs per vertex
     crossings = []
     for i, ci in enumerate(chords):
         for j in range(i, len(chords)):
-            for k in _shifts(ci, chords[j]):
-                hit = annulus.segment_intersection(
-                    ci, annulus.chord(*chords[j], 0, shift=k))
-                if hit is None:
-                    raise AssertionError(
-                        "chords %r and %r shifted by %d do not cross"
-                        % (ci, chords[j], k))
-                t1, t2, sign = hit
-                crossings.append(((i, t1), (j, t2), sign * ORIENT))
+            if _shifts(ci, chords[j]):
+                for t1, t2, sign in _crossings(ci, chords[j]):
+                    crossings.append(((i, t1), (j, t2), sign * ORIENT))
     if not crossings:
         raise WordError("collection has no crossings")
     signs, conn_passages = passages(crossings, len(chords))
@@ -274,14 +281,30 @@ def word_to_map(curves):
                 "curve %s has no crossings (vertex-free component)"
                 % word_label([curve]))
         strands.append(strand)
-    m, outs = from_strands(signs, strands)
+    rotation, pairing, outs = from_strands(signs, strands)
 
     walks = []
     for letter, along in BASIS_SPEC:
         ci, slot, sign = arc_slots[letter]
         out = outs[ci][slot - 1]
-        walks.append((out if (sign > 0) == along else m.pairing[out],))
-    return Genus2Build(canonical_word(curves), m, tuple(walks))
+        walks.append((out if (sign > 0) == along else pairing[out],))
+    return rotation, pairing, tuple(walks)
+
+
+def word_to_map(curves):
+    """Realize a word with minimal-position connecting arcs.
+
+    Returns a Genus2Build whose map has one vertex per crossing; raises
+    WordError when some curve has no crossing at all (a vertex-free
+    component, not representable as a 4-valent map).  Chords, shifts and
+    crossings come from the memoised :func:`_connector_chord`,
+    :func:`_shifts` and :func:`_crossings`; the map is built from the
+    rotation and pairing of :func:`_realize`, which :func:`census` tests
+    for one face first.
+    """
+    rotation, pairing, walks = _realize(curves)
+    return Genus2Build(canonical_word(curves),
+                       CombinatorialMap(rotation, pairing), walks)
 
 
 def has_separating_cycle(m):
@@ -377,32 +400,39 @@ def _three_crossing_matchings(window):
     running total: each new chord adds its self-crossings and its
     crossings with the chords already placed.  A prefix is dropped as
     soon as the total exceeds three.  Per matching the twists come out
-    in the order of ``itertools.product(window, repeat=4)``.  Chords and
-    crossing counts come from the process-wide :func:`_connector_chord`
-    and :func:`_shifts` tables, which :func:`word_to_map` then reuses.
+    in the order of ``itertools.product(window, repeat=4)``.  Before the
+    search of a matching, each connector's chord and self-crossing count
+    are looked up once per twist; chords and crossing counts come from
+    the process-wide :func:`_connector_chord` and :func:`_shifts` tables,
+    which :func:`_realize` then reuses.
     """
 
-    def extend(matching, twists, placed, total):
-        if len(twists) == len(matching):
+    def extend(options, twists, placed, total):
+        if len(twists) == len(options):
             if total == 3:
                 yield twists
             return
-        u, v = matching[len(twists)]
-        for t in window:
-            c = _connector_chord(u, v, t)
-            more = total
-            for prev in (c,) + placed:
-                # connectors of one matching share no port, so prev == c
-                # only when a chord meets itself
+        for t, c, own in options[len(twists)]:
+            more = total + own
+            if more > 3:
+                continue
+            # connectors of one matching share no port, so no placed
+            # chord equals c and _shifts counts crossings, not self ones
+            for prev in placed:
                 more += len(_shifts(prev, c))
                 if more > 3:
                     break
             else:
-                yield from extend(matching, twists + (t,), placed + (c,),
+                yield from extend(options, twists + (t,), placed + (c,),
                                   more)
 
     for matching in _perfect_matchings(_ALL_PORTS):
-        for twists in extend(matching, (), (), 0):
+        # (twist, chord, self-crossings) per connector, in window order
+        options = []
+        for u, v in matching:
+            chords = [(t, _connector_chord(u, v, t)) for t in window]
+            options.append([(t, c, len(_shifts(c, c))) for t, c in chords])
+        for twists in extend(options, (), (), 0):
             yield matching, twists
 
 
@@ -410,11 +440,12 @@ def census(twist_bound=2):
     """One-faced collections with all twists in [-bound, bound].
 
     Searches the port matchings with twists in the window for the words
-    with exactly three crossings, realizes them as maps, keeps the
-    one-faced ones and deduplicates up to isomorphism with reflection.
+    with exactly three crossings, realizes each as a rotation and pairing,
+    and keeps the one-faced ones; only those become maps (validated) and
+    Genus2Builds.  It deduplicates them up to isomorphism with reflection.
     Many words give one (rotation, pairing), so each distinct map is
-    keyed once; the chord tables behind :func:`_shifts` stay for the
-    life of the process and grow with the twist bound.  Returns a list of
+    keyed once; the chord, shift and crossing tables stay for the life
+    of the process and grow with the twist bound.  Returns a list of
     Genus2Build representatives sorted by curve count (descending), with
     separating-cycle and genus cross-checks applied.
     These are the one-faced classes the word model reaches, not all of
@@ -429,12 +460,13 @@ def census(twist_bound=2):
     for matching, twists in _three_crossing_matchings(window):
         word = _matching_to_word(matching, twists)
         try:
-            build = word_to_map(word)
-        except (WordError, InvalidMap):
+            rotation, pairing, walks = _realize(word)
+        except WordError:
             continue
-        m = build.map
-        if len(m.faces) != 1:
+        if not one_faced(rotation, pairing):
             continue
+        m = CombinatorialMap(rotation, pairing)
+        build = Genus2Build(canonical_word(word), m, walks)
         key = keys.get(m)
         if key is None:
             key = keys[m] = canonical_key(m, allow_reflection=True)
@@ -458,7 +490,8 @@ def census(twist_bound=2):
 
 def exhaustive_unicellular_maps():
     """All isomorphism classes (with reflection) of connected 4-valent
-    maps with three vertices and one face; every one has genus 2."""
+    maps with three vertices and one face; every one has genus 2.  Each
+    pairing is tested for one face before a map is built from it."""
     rot = []
     for v in range(3):
         b = 4 * v
@@ -469,12 +502,9 @@ def exhaustive_unicellular_maps():
         for a, b in match:
             pairing[a] = b
             pairing[b] = a
-        try:
-            m = CombinatorialMap(tuple(rot), tuple(pairing))
-        except InvalidMap:
+        if not one_faced(rot, pairing):
             continue
-        if len(m.faces) != 1:
-            continue
+        m = CombinatorialMap(rot, pairing)
         key = canonical_key(m, allow_reflection=True)
         if key not in out:
             out[key] = m

@@ -190,7 +190,8 @@ def from_strands(signs, strands):
     more (arriving along it); its rotation reads CCW, turning from branch
     0 to branch 1 when the sign is positive.
 
-    Returns the map and, per strand, the half-edge leaving each passage.
+    Returns the rotation and pairing as lists, not yet validated as a
+    map, and, per strand, the half-edge leaving each passage.
     """
     n = 4 * len(signs)
     rotation = [0] * n
@@ -212,7 +213,24 @@ def from_strands(signs, strands):
         outs.append(out)
     if -1 in pairing:
         raise MapError("half-edge %d is on no strand" % pairing.index(-1))
-    return CombinatorialMap(rotation, pairing), outs
+    return rotation, pairing, outs
+
+
+def one_faced(rotation, pairing):
+    """Whether the face permutation rotation o pairing has one orbit.
+
+    Reads the raw permutations, so a caller can drop a candidate before
+    it builds and validates a :class:`CombinatorialMap`; the orbit of
+    half-edge 0 is followed for at most as many steps as there are
+    half-edges.  A one-faced map is connected.
+    """
+    n = len(rotation)
+    h = 0
+    for size in range(1, n + 1):
+        h = rotation[pairing[h]]
+        if h == 0:
+            return size == n
+    return False
 
 
 def validate(m):

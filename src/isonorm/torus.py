@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import polytope
-from .maps import MapError, from_strands, passages
+from .maps import CombinatorialMap, MapError, from_strands, passages
 
 
 class PolygonError(ValueError):
@@ -146,7 +146,8 @@ def realize_map(collection):
             signs, strands = passages(_line_crossings(curves), len(curves))
         except MapError:
             continue
-        return from_strands(signs, strands)[0]
+        rotation, pairing, _ = from_strands(signs, strands)
+        return CombinatorialMap(rotation, pairing)
     raise AssertionError("no generic offset found")
 
 

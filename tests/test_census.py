@@ -9,7 +9,8 @@ from isonorm.census import (WordError, canonical_word, census as run_census,
                             exhaustive_unicellular_maps, has_separating_cycle,
                             reverse_curve, self_intersection,
                             verify_main_theorem, word_label, word_to_map)
-from isonorm.maps import (canonical_key, curves as map_curves, from_strands,
+from isonorm.maps import (CombinatorialMap, InvalidMap, canonical_key,
+                          curves as map_curves, from_strands, one_faced,
                           parse_map, passages, validate)
 
 from _helpers import (CHAIN, FIGURE_EIGHT, FIXTURES, GOLDEN_BALLS,
@@ -208,7 +209,8 @@ def word_to_map_oracle(curves):
                 "curve %s has no crossings (vertex-free component)"
                 % word_label([curve]))
         strands.append(strand)
-    m, outs = from_strands(signs, strands)
+    rotation, pairing, outs = from_strands(signs, strands)
+    m = CombinatorialMap(rotation, pairing)
     walks = []
     for letter, along in census.BASIS_SPEC:
         ci, slot, sign = arc_slots[letter]
@@ -251,35 +253,78 @@ class TestCensus:
 
     def test_each_shift_and_key_computed_once(self, monkeypatch):
         census._shifts.cache_clear()
+        census._crossings.cache_clear()
         census._connector_chord.cache_clear()
         real_shifts = annulus.crossing_shifts
+        real_intersection = annulus.segment_intersection
         real_key = census.canonical_key
-        real_word_to_map = census.word_to_map
+        real_realize = census._realize
         shift_args = Counter()
+        hits = Counter()
         keyed = Counter()
-        one_faced = set()
+        single_face = set()
 
         def crossing_shifts(c1, c2, self_pair=False):
             shift_args[c1, c2, self_pair] += 1
             return real_shifts(c1, c2, self_pair=self_pair)
+
+        def segment_intersection(c1, c2):
+            # c2 is a translate, so it names the chord pair and the shift
+            hits[c1, c2] += 1
+            return real_intersection(c1, c2)
 
         def key(m, allow_reflection=True):
             keyed[m.rotation, m.pairing] += 1
             return real_key(m, allow_reflection=allow_reflection)
 
         def realize(word):
-            build = real_word_to_map(word)
-            if len(build.map.faces) == 1:
-                one_faced.add((build.map.rotation, build.map.pairing))
-            return build
+            rotation, pairing, walks = real_realize(word)
+            try:
+                m = CombinatorialMap(rotation, pairing)
+            except InvalidMap:  # disconnected
+                pass
+            else:
+                if len(m.faces) == 1:
+                    single_face.add((m.rotation, m.pairing))
+            return rotation, pairing, walks
 
         monkeypatch.setattr(annulus, "crossing_shifts", crossing_shifts)
+        monkeypatch.setattr(annulus, "segment_intersection",
+                            segment_intersection)
         monkeypatch.setattr(census, "canonical_key", key)
-        monkeypatch.setattr(census, "word_to_map", realize)
+        monkeypatch.setattr(census, "_realize", realize)
         assert len(run_census(2)) == 4
         assert shift_args and max(shift_args.values()) == 1
-        assert set(keyed) == one_faced and max(keyed.values()) == 1
-        assert len(one_faced) == 41
+        assert hits and max(hits.values()) == 1
+        assert set(keyed) == single_face and max(keyed.values()) == 1
+        assert len(single_face) == 41
+
+    @pytest.mark.parametrize("bound, funnel", [(2, (144, 1725, 712)),
+                                               (3, (240, 2679, 1038))])
+    def test_one_face_test_matches_built_maps(self, bound, funnel):
+        # the census drops a word on the raw one-face test; built as a
+        # map, a word must have one face exactly when the test passes,
+        # and a word the oracle rejects is rejected the same way
+        outcomes = Counter()
+        for matching, twists in census._three_crossing_matchings(
+                range(-bound, bound + 1)):
+            word = census._matching_to_word(matching, twists)
+            expected = _realize(word_to_map_oracle, word)
+            if expected[0] is WordError:
+                with pytest.raises(WordError) as exc:
+                    census._realize(word)
+                assert str(exc.value) == expected[1]
+                outcomes["word error"] += 1
+                continue
+            rotation, pairing, _ = census._realize(word)
+            try:
+                single = len(CombinatorialMap(rotation, pairing).faces) == 1
+            except InvalidMap:  # disconnected
+                single = False
+            assert one_faced(rotation, pairing) == single, word
+            outcomes[single] += 1
+        assert (outcomes["word error"], outcomes[False], outcomes[True]) \
+            == funnel
 
     def test_exactly_four_classes(self, census_reps):
         assert len(census_reps) == 4
@@ -328,6 +373,24 @@ class TestExhaustiveMaps:
             assert m.num_vertices == 3
             assert len(m.faces) == 1
             assert m.genus == 2
+
+    def test_one_face_test_matches_built_maps(self):
+        rot = [4 * (h // 4) + (h + 1) % 4 for h in range(12)]
+        outcomes = Counter()
+        for match in census._perfect_matchings(tuple(range(12))):
+            pairing = [0] * 12
+            for a, b in match:
+                pairing[a], pairing[b] = b, a
+            try:
+                faces = len(CombinatorialMap(rot, pairing).faces)
+            except InvalidMap:  # disconnected
+                faces = 0
+            assert one_faced(rot, pairing) == (faces == 1), pairing
+            outcomes["pairings"] += 1
+            outcomes["connected"] += faces > 0
+            outcomes["one-faced"] += faces == 1
+        assert outcomes == {"pairings": 10395, "connected": 9504,
+                            "one-faced": 1440}
 
     def test_census_classes_embed(self, census_reps):
         keys = {canonical_key(m, allow_reflection=True)

@@ -6,8 +6,8 @@ import pytest
 from isonorm import census
 from isonorm.maps import (CombinatorialMap, InvalidMap, MapError,
                           MapParseError, canonical_form, canonical_key, curves,
-                          from_strands, isomorphic, parse_map, passages,
-                          serialize_map, validate)
+                          from_strands, isomorphic, one_faced, parse_map,
+                          passages, serialize_map, validate)
 from isonorm.torus import TorusCollection, realize_map
 
 from _helpers import (FIGURE_EIGHT, FIXTURES, TORUS_CROSS, TORUS_FAMILIES,
@@ -96,7 +96,8 @@ class TestCurves:
 
 class TestFromStrands:
     def test_two_strands_through_one_crossing(self):
-        m, outs = from_strands([1], [[(0, 0)], [(0, 1)]])
+        rotation, pairing, outs = from_strands([1], [[(0, 0)], [(0, 1)]])
+        m = CombinatorialMap(rotation, pairing)
         assert isomorphic(m, TORUS_CROSS)[0]
         assert outs == [[0], [2]]
         assert [m.strand_next(h) for h in (0, 2)] == [0, 2]
@@ -112,6 +113,24 @@ class TestFromStrands:
     def test_missing_passage_rejected(self):
         with pytest.raises(MapError):
             from_strands([1], [[(0, 0)]])
+
+
+class TestOneFaced:
+    def test_matches_face_orbits(self, rng):
+        counts = set()
+        for _ in range(200):
+            m = random_valid_map(rng, rng.randint(1, 5))
+            assert one_faced(m.rotation, m.pairing) == (len(m.faces) == 1)
+            counts.add(len(m.faces))
+        assert 1 in counts and len(counts) > 2
+
+    def test_stops_on_a_map_that_is_not_one(self):
+        # a disconnected map, a face permutation whose orbit through 0
+        # never returns to 0, and no half-edges at all
+        assert not one_faced((1, 2, 3, 0, 5, 6, 7, 4),
+                             (1, 0, 3, 2, 5, 4, 7, 6))
+        assert not one_faced((1, 2, 3, 0), (0, 0, 0, 0))
+        assert not one_faced((), ())
 
 
 class TestPassages:
