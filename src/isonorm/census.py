@@ -250,20 +250,26 @@ class Genus2Build:
         return polytope.convex_hull(self.eulco_classes())
 
 
-def _realize(curves):
-    """The rotation, pairing and basis walks of a word, before any map
-    object is built (see :func:`word_to_map`)."""
-    chords = _chords(curves)
+class _VertexFree(Exception):
+    """Raised by :func:`_realize` when a curve has no crossing; the
+    curve's index is ``args[0]``."""
 
+
+def _realize(curves, chords, pairs):
+    """The rotation, pairing and basis walks of a collection, before any
+    map object is built.
+
+    ``curves`` lists each curve's (letter, sign, ...) in order and
+    ``chords`` the chord of the connector after each letter, in the same
+    order; ``pairs`` are the (i, j), i <= j, whose chords cross, with
+    chord i passed first to :func:`_shifts` and :func:`_crossings`.
+    :func:`word_to_map` scans every chord pair for them, and
+    :func:`census` takes the pairs its search met.  Raises _VertexFree
+    when some curve has no crossing.
+    """
     # crossings: (conn index, parameter, branch) pairs per vertex
-    crossings = []
-    for i, ci in enumerate(chords):
-        for j in range(i, len(chords)):
-            if _shifts(ci, chords[j]):
-                for t1, t2, sign in _crossings(ci, chords[j]):
-                    crossings.append(((i, t1), (j, t2), sign * ORIENT))
-    if not crossings:
-        raise WordError("collection has no crossings")
+    crossings = [((i, t1), (j, t2), sign * ORIENT) for i, j in pairs
+                 for t1, t2, sign in _crossings(chords[i], chords[j])]
     signs, conn_passages = passages(crossings, len(chords))
 
     # each curve's strand of passages; an arc lies on the edge that ends
@@ -277,9 +283,7 @@ def _realize(curves):
             arc_slots[letter] = (ci, len(strand), sign)
             strand.extend(next(conn_passages))
         if not strand:
-            raise WordError(
-                "curve %s has no crossings (vertex-free component)"
-                % word_label([curve]))
+            raise _VertexFree(ci)
         strands.append(strand)
     rotation, pairing, outs = from_strands(signs, strands)
 
@@ -288,7 +292,7 @@ def _realize(curves):
         ci, slot, sign = arc_slots[letter]
         out = outs[ci][slot - 1]
         walks.append((out if (sign > 0) == along else pairing[out],))
-    return rotation, pairing, tuple(walks)
+    return tuple(rotation), tuple(pairing), tuple(walks)
 
 
 def word_to_map(curves):
@@ -298,11 +302,21 @@ def word_to_map(curves):
     WordError when some curve has no crossing at all (a vertex-free
     component, not representable as a 4-valent map).  Chords, shifts and
     crossings come from the memoised :func:`_connector_chord`,
-    :func:`_shifts` and :func:`_crossings`; the map is built from the
-    rotation and pairing of :func:`_realize`, which :func:`census` tests
-    for one face first.
+    :func:`_shifts` and :func:`_crossings`; every chord pair is scanned
+    for crossings, and :func:`_realize`, which the census shares, gives
+    the rotation, pairing and walks.
     """
-    rotation, pairing, walks = _realize(curves)
+    chords = _chords(curves)
+    pairs = [(i, j) for i, ci in enumerate(chords)
+             for j in range(i, len(chords)) if _shifts(ci, chords[j])]
+    if not pairs:
+        raise WordError("collection has no crossings")
+    try:
+        rotation, pairing, walks = _realize(curves, chords, pairs)
+    except _VertexFree as exc:
+        raise WordError(
+            "curve %s has no crossings (vertex-free component)"
+            % word_label([curves[exc.args[0]]])) from None
     return Genus2Build(canonical_word(curves),
                        CombinatorialMap(rotation, pairing), walks)
 
@@ -360,13 +374,18 @@ def _perfect_matchings(items):
             yield ((a, items[i]),) + m
 
 
-def _matching_to_word(matching, twists):
-    """Curves of the collection defined by a port matching with one twist
-    per connector (twist measured from the first port of the pair)."""
+def _matching_curves(matching):
+    """The curves of a port matching, before any twist is chosen.
+
+    A curve lists its (letter, sign, (k, o)) in order: after the letter
+    it runs connector k of the matching, from the connector's first port
+    when o = 1 and from its second when o = -1.  A twist t of connector
+    k, measured from its first port, is a word exponent o * t.
+    """
     link = {}
-    for (u, v), t in zip(matching, twists):
-        link[u] = (v, t)
-        link[v] = (u, -t)
+    for k, (u, v) in enumerate(matching):
+        link[u] = (v, (k, 1))
+        link[v] = (u, (k, -1))
     curves = []
     seen = set()
     for letter in LETTERS:
@@ -376,9 +395,8 @@ def _matching_to_word(matching, twists):
         cur, sign = letter, 1
         while True:
             seen.add(cur)
-            exit_port = (cur, "+" if sign > 0 else "-")
-            (nl, ne), t = link[exit_port]
-            curve.append((cur, sign, t))
+            (nl, ne), conn = link[cur, "+" if sign > 0 else "-"]
+            curve.append((cur, sign, conn))
             cur, sign = nl, (1 if ne == "-" else -1)
             if cur == letter:
                 # every port has degree two (its arc and its connector),
@@ -391,63 +409,91 @@ def _matching_to_word(matching, twists):
     return tuple(curves)
 
 
+def _word(curves, twists):
+    """The word of a matching's curves (see :func:`_matching_curves`)
+    with one twist per connector, in matching order."""
+    return tuple(tuple((letter, sign, o * twists[k])
+                       for letter, sign, (k, o) in curve)
+                 for curve in curves)
+
+
 def _three_crossing_matchings(window):
     """Port matchings with twists from ``window`` whose connectors cross
-    exactly three times, as (matching, twists).
+    exactly three times, as (matching, curves, twists, chords, pairs):
+    the matching's curves (:func:`_matching_curves`), its connectors'
+    chords in curve order, each drawn in its curve's direction, and the
+    pairs (i, j), i <= j, of those chords that cross, as
+    :func:`_realize` takes them.
 
-    One depth-first search per matching places connector i after
-    connectors 0..i-1, trying the twists in window order, and keeps a
+    One depth-first search per matching places connector k after
+    connectors 0..k-1, trying the twists in window order, and keeps a
     running total: each new chord adds its self-crossings and its
-    crossings with the chords already placed.  A prefix is dropped as
-    soon as the total exceeds three.  Per matching the twists come out
-    in the order of ``itertools.product(window, repeat=4)``.  Before the
-    search of a matching, each connector's chord and self-crossing count
-    are looked up once per twist; chords and crossing counts come from
-    the process-wide :func:`_connector_chord` and :func:`_shifts` tables,
-    which :func:`_realize` then reuses.
+    crossings with the chords already placed, and each pair that crosses
+    is recorded.  A prefix is dropped as soon as the total exceeds
+    three.  Per matching the twists come out in the order of
+    ``itertools.product(window, repeat=4)``.  Before the search of a
+    matching, each connector's chord and self-crossing count are looked
+    up once per twist.  Two chords are passed to :func:`_shifts` in curve
+    order, so the search fills the entries that :func:`_crossings` and
+    :func:`word_to_map` read for the same word.
     """
 
-    def extend(options, twists, placed, total):
+    def extend(options, twists, placed, pairs, total):
         if len(twists) == len(options):
             if total == 3:
-                yield twists
+                yield twists, placed, pairs
             return
-        for t, c, own in options[len(twists)]:
+        pos, choices = options[len(twists)]
+        for t, c, own in choices:
             more = total + own
             if more > 3:
                 continue
+            found = pairs + ((pos, pos),) if own else pairs
             # connectors of one matching share no port, so no placed
             # chord equals c and _shifts counts crossings, not self ones
-            for prev in placed:
-                more += len(_shifts(prev, c))
-                if more > 3:
-                    break
+            for p, prev in placed:
+                shifts = _shifts(prev, c) if p < pos else _shifts(c, prev)
+                if shifts:
+                    more += len(shifts)
+                    if more > 3:
+                        break
+                    found += ((min(p, pos), max(p, pos)),)
             else:
-                yield from extend(options, twists + (t,), placed + (c,),
-                                  more)
+                yield from extend(options, twists + (t,),
+                                  placed + ((pos, c),), found, more)
 
     for matching in _perfect_matchings(_ALL_PORTS):
-        # (twist, chord, self-crossings) per connector, in window order
-        options = []
-        for u, v in matching:
-            chords = [(t, _connector_chord(u, v, t)) for t in window]
-            options.append([(t, c, len(_shifts(c, c))) for t, c in chords])
-        for twists in extend(options, (), (), 0):
-            yield matching, twists
+        curves = _matching_curves(matching)
+        # per connector, in matching order: its position in curve order
+        # and its (twist, chord, self-crossings) in window order
+        options = [None] * len(matching)
+        order = [conn for curve in curves for _, _, conn in curve]
+        for pos, (k, o) in enumerate(order):
+            exit_, entry = matching[k][::o]  # the curve's direction
+            chords = [(t, _connector_chord(exit_, entry, o * t))
+                      for t in window]
+            options[k] = (pos, [(t, c, len(_shifts(c, c)))
+                                for t, c in chords])
+        for twists, placed, pairs in extend(options, (), (), (), 0):
+            yield (matching, curves, twists,
+                   tuple(c for _, c in sorted(placed)), pairs)
 
 
 def census(twist_bound=2):
     """One-faced collections with all twists in [-bound, bound].
 
     Searches the port matchings with twists in the window for the words
-    with exactly three crossings, realizes each as a rotation and pairing,
-    and keeps the one-faced ones; only those become maps (validated) and
-    Genus2Builds.  It deduplicates them up to isomorphism with reflection.
-    Many words give one (rotation, pairing), so each distinct map is
-    keyed once; the chord, shift and crossing tables stay for the life
-    of the process and grow with the twist bound.  Returns a list of
-    Genus2Build representatives sorted by curve count (descending), with
-    separating-cycle and genus cross-checks applied.
+    with exactly three crossings and realizes each from the chords and
+    crossing pairs the search found (:func:`_realize`, which
+    :func:`word_to_map` shares).  Only a one-faced candidate gets its
+    word; each distinct (rotation, pairing) becomes one validated map
+    with one canonical key, and each distinct (map, walks) one
+    :meth:`Genus2Build.standard_basis` check.  The maps are deduplicated
+    up to isomorphism with reflection.  The chord, shift and crossing
+    tables stay for the life of the process and grow with the twist
+    bound.  Returns a list of Genus2Build representatives sorted by
+    curve count (descending), with separating-cycle and genus
+    cross-checks applied.
     These are the one-faced classes the word model reaches, not all of
     them: :func:`exhaustive_unicellular_maps` lists six classes, and the
     census finds four.
@@ -456,22 +502,25 @@ def census(twist_bound=2):
         raise ValueError("twist_bound must be at least 2")
     window = range(-twist_bound, twist_bound + 1)
     found = {}
-    keys = {}  # map -> its canonical key
-    for matching, twists in _three_crossing_matchings(window):
-        word = _matching_to_word(matching, twists)
+    keyed = {}  # (rotation, pairing) -> (map, canonical key)
+    standard = {}  # (map, walks) -> whether the walks are a standard basis
+    for _, curves, twists, chords, pairs in _three_crossing_matchings(window):
         try:
-            rotation, pairing, walks = _realize(word)
-        except WordError:
+            rotation, pairing, walks = _realize(curves, chords, pairs)
+        except _VertexFree:
             continue
         if not one_faced(rotation, pairing):
             continue
-        m = CombinatorialMap(rotation, pairing)
-        build = Genus2Build(canonical_word(word), m, walks)
-        key = keys.get(m)
-        if key is None:
-            key = keys[m] = canonical_key(m, allow_reflection=True)
+        if (rotation, pairing) not in keyed:
+            m = CombinatorialMap(rotation, pairing)
+            key = canonical_key(m, allow_reflection=True)
+            keyed[rotation, pairing] = m, key
+        m, key = keyed[rotation, pairing]
+        build = Genus2Build(canonical_word(_word(curves, twists)), m, walks)
+        if (m, walks) not in standard:
+            standard[m, walks] = build.standard_basis()
         # prefer representatives whose walks form a genuine basis
-        rank = (not build.standard_basis(), word_label(build.word))
+        rank = (not standard[m, walks], word_label(build.word))
         prev = found.get(key)
         if prev is None or rank < prev[0]:
             found[key] = (rank, build)

@@ -2,13 +2,15 @@
 
 Thin adapters only: every subcommand parses files, calls one library
 function, and prints a stable plain-text (or ``--json``) document.
-Exit codes: 0 success, 1 domain error, 2 parse/usage error.
+Exit codes: 0 success, 1 domain error or a stdout closed by its reader,
+2 parse/usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import census, coorient, homology, maps, moves, polytope, torus
@@ -377,13 +379,22 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed stdout early shows up here, not at exit
+        sys.stdout.flush()
     except ParseFailure as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except DomainFailure as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # send what is left to devnull, so the flush at exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

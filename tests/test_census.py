@@ -1,9 +1,10 @@
+import hashlib
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from isonorm import annulus, census, coorient, homology, polytope
+from isonorm import annulus, census, cli, coorient, homology, maps, polytope
 from isonorm.cli import parse_walks
 from isonorm.census import (WordError, canonical_word, census as run_census,
                             exhaustive_unicellular_maps, has_separating_cycle,
@@ -16,6 +17,11 @@ from isonorm.maps import (CombinatorialMap, InvalidMap, canonical_key,
 from _helpers import (CHAIN, FIGURE_EIGHT, FIXTURES, GOLDEN_BALLS,
                       INTRO_VECTORS, TORUS_CROSS, WORDS, random_valid_map,
                       separating_cycle_oracle)
+
+CENSUS_JSON_SHA256 = \
+    "5bddd6913e3c67318435482c7665c404d333e482bc21df04b5895433e0647f61"
+REPRESENTATIVES_SHA256 = \
+    "51cc8c23cd05e4c91884682c47fd817e645b72d2f1637f1d7d69711a629b767f"
 
 NEG_WORD = ((("a1", 1, 0), ("a2", -1, 0)), (("b1", 1, 0), ("b2", 1, 0)))
 
@@ -232,7 +238,8 @@ class TestCensus:
     @pytest.mark.parametrize("bound, count", [(2, 2581), (3, 3957)])
     def test_search_matches_product_oracle(self, bound, count):
         window = range(-bound, bound + 1)
-        found = list(census._three_crossing_matchings(window))
+        found = [(matching, twists) for matching, _, twists, _, _
+                 in census._three_crossing_matchings(window)]
         assert len(found) == count
         assert found == product_oracle(bound)
 
@@ -242,9 +249,9 @@ class TestCensus:
             return b.map.rotation, b.map.pairing, b.walks, b.word
 
         outcomes = Counter()
-        for matching, twists in census._three_crossing_matchings(
+        for _, curves, twists, _, _ in census._three_crossing_matchings(
                 range(-2, 3)):
-            word = census._matching_to_word(matching, twists)
+            word = census._word(curves, twists)
             got = _realize(cached, word)
             assert got == _realize(word_to_map_oracle, word), word
             outcomes[isinstance(got[0], type)] += 1
@@ -259,10 +266,14 @@ class TestCensus:
         real_intersection = annulus.segment_intersection
         real_key = census.canonical_key
         real_realize = census._realize
+        real_validate = maps.validate
+        real_form = homology.intersection_form
         shift_args = Counter()
         hits = Counter()
         keyed = Counter()
-        single_face = set()
+        validated = Counter()
+        formed = Counter()
+        realized = set()
 
         def crossing_shifts(c1, c2, self_pair=False):
             shift_args[c1, c2, self_pair] += 1
@@ -277,15 +288,17 @@ class TestCensus:
             keyed[m.rotation, m.pairing] += 1
             return real_key(m, allow_reflection=allow_reflection)
 
-        def realize(word):
-            rotation, pairing, walks = real_realize(word)
-            try:
-                m = CombinatorialMap(rotation, pairing)
-            except InvalidMap:  # disconnected
-                pass
-            else:
-                if len(m.faces) == 1:
-                    single_face.add((m.rotation, m.pairing))
+        def validate(m):
+            validated[m.rotation, m.pairing] += 1
+            return real_validate(m)
+
+        def intersection_form(m, basis):
+            formed[m.rotation, m.pairing, tuple(basis)] += 1
+            return real_form(m, basis)
+
+        def realize(curves, chords, pairs):
+            rotation, pairing, walks = real_realize(curves, chords, pairs)
+            realized.add((rotation, pairing))
             return rotation, pairing, walks
 
         monkeypatch.setattr(annulus, "crossing_shifts", crossing_shifts)
@@ -293,38 +306,76 @@ class TestCensus:
                             segment_intersection)
         monkeypatch.setattr(census, "canonical_key", key)
         monkeypatch.setattr(census, "_realize", realize)
+        monkeypatch.setattr(maps, "validate", validate)
+        monkeypatch.setattr(homology, "intersection_form", intersection_form)
         assert len(run_census(2)) == 4
+        built = Counter(validated)
+        single_face = set()
+        for rotation, pairing in realized:
+            try:
+                m = CombinatorialMap(rotation, pairing)
+            except InvalidMap:  # disconnected
+                continue
+            if len(m.faces) == 1:
+                single_face.add((m.rotation, m.pairing))
         assert shift_args and max(shift_args.values()) == 1
         assert hits and max(hits.values()) == 1
         assert set(keyed) == single_face and max(keyed.values()) == 1
         assert len(single_face) == 41
+        # one map per distinct (rotation, pairing), one intersection form
+        # per distinct (map, walks)
+        assert set(built) == single_face and max(built.values()) == 1
+        assert len(formed) == 194 and max(formed.values()) == 1
 
     @pytest.mark.parametrize("bound, funnel", [(2, (144, 1725, 712)),
                                                (3, (240, 2679, 1038))])
     def test_one_face_test_matches_built_maps(self, bound, funnel):
-        # the census drops a word on the raw one-face test; built as a
-        # map, a word must have one face exactly when the test passes,
-        # and a word the oracle rejects is rejected the same way
+        # every candidate, realized from the chords and crossing pairs of
+        # the search as the census does it, equals the uncached oracle's
+        # realization of its word; the census drops a candidate on the
+        # raw one-face test, and built as a map a candidate has one face
+        # exactly when the test passes
         outcomes = Counter()
-        for matching, twists in census._three_crossing_matchings(
-                range(-bound, bound + 1)):
-            word = census._matching_to_word(matching, twists)
+        for _, curves, twists, chords, pairs in \
+                census._three_crossing_matchings(range(-bound, bound + 1)):
+            word = census._word(curves, twists)
             expected = _realize(word_to_map_oracle, word)
             if expected[0] is WordError:
+                with pytest.raises(census._VertexFree):
+                    census._realize(curves, chords, pairs)
                 with pytest.raises(WordError) as exc:
-                    census._realize(word)
+                    word_to_map(word)
                 assert str(exc.value) == expected[1]
                 outcomes["word error"] += 1
                 continue
-            rotation, pairing, _ = census._realize(word)
+            rotation, pairing, walks = census._realize(curves, chords, pairs)
             try:
-                single = len(CombinatorialMap(rotation, pairing).faces) == 1
-            except InvalidMap:  # disconnected
+                m = CombinatorialMap(rotation, pairing)
+            except InvalidMap as exc:  # disconnected
+                assert expected == (InvalidMap, str(exc)), word
                 single = False
+            else:
+                assert (m.rotation, m.pairing, walks) == expected[:3], word
+                single = len(m.faces) == 1
             assert one_faced(rotation, pairing) == single, word
             outcomes[single] += 1
         assert (outcomes["word error"], outcomes[False], outcomes[True]) \
             == funnel
+
+    def test_pinned_representatives(self, capsys):
+        # the canonical-key tests pin the classes; these digests also pin
+        # the word, map and walks the census picks for each class: the
+        # sha256 of `isonorm --json census` at twist bound 2, and of the
+        # sorted (label, rotation, pairing, walks) at bounds 3 and 4
+        assert cli.main(["--json", "census"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+            == CENSUS_JSON_SHA256
+        for bound in (3, 4):
+            reps = sorted((word_label(b.word), b.map.rotation,
+                           b.map.pairing, b.walks)
+                          for b in run_census(bound))
+            assert hashlib.sha256(repr(reps).encode()).hexdigest() \
+                == REPRESENTATIVES_SHA256, bound
 
     def test_exactly_four_classes(self, census_reps):
         assert len(census_reps) == 4

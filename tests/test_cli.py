@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -410,6 +414,19 @@ class TestCensusCommands:
     def test_small_twist_bound_exits_one(self, capsys):
         code, _, _ = run(capsys, "census", "--twist-bound", "1")
         assert code == 1
+
+    def test_closed_stdout_exits_one_without_traceback(self):
+        # the read end is closed before the census is done, so the
+        # child's first write meets a broken pipe
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "isonorm.cli", "--json", "census"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"Error" not in err, err
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_verify_theorem_small_twist_bound_exits_one(self, capsys,
