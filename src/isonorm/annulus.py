@@ -78,23 +78,32 @@ def crossing_shifts(c1, c2, self_pair=False):
     strictly inside c1 and neither lies on an endpoint of c1 (chords
     sharing an endpoint only touch on the boundary).  Endpoint (side, h)
     lies inside for the k with lo < h + SCALE * k < hi, a half-open range
-    [first, stop) of k.  With ``self_pair`` only k >= 1 is kept (each
-    self-crossing of an arc corresponds to one positive relative
-    translate).
+    [first, stop) of k.  The symmetric difference of two such ranges is
+    [p0, p1) and [p2, p3) for their four ends in ascending order, once an
+    empty range is written [stop, stop); from it the at most four shifts
+    that put an endpoint of c2 on an endpoint of c1 are dropped.  With
+    ``self_pair`` only k >= 1 is kept (each self-crossing of an arc
+    corresponds to one positive relative translate).
     """
     ranges = []
     for side, h in c2:
         lo, hi = _inside(c1, side)
         first = None if lo is None else (lo - h) // SCALE + 1
         ranges.append((first, -((h - hi) // SCALE)))
-    # an unbounded range only occurs for both endpoints at once, and
-    # their symmetric difference starts at the lower stop
-    floor = min(stop for _, stop in ranges)
-    a, b = (set(range(floor if first is None else first, stop))
-            for first, stop in ranges)
-    shared = {(h1 - h) // SCALE for side, h in c2 for side1, h1 in c1
-              if side == side1 and (h1 - h) % SCALE == 0}
-    return sorted(k for k in (a ^ b) - shared if k >= 1 or not self_pair)
+    (a0, a1), (b0, b1) = ranges
+    if a0 is None:
+        # an unbounded range only occurs for both endpoints at once, and
+        # their symmetric difference starts at the lower stop
+        a0 = b0 = min(a1, b1)
+    p0, p1, p2, p3 = sorted((min(a0, a1), a1, min(b0, b1), b1))
+    if self_pair:
+        p0, p2 = max(p0, 1), max(p2, 1)
+    shifts = [*range(p0, p1), *range(p2, p3)]
+    if shifts:
+        shared = [(h1 - h) // SCALE for side, h in c2 for side1, h1 in c1
+                  if side == side1 and (h1 - h) % SCALE == 0]
+        shifts = [k for k in shifts if k not in shared]
+    return shifts
 
 
 def count_crossings(c1, c2):

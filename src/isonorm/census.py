@@ -19,8 +19,8 @@ import functools
 
 from . import annulus, coorient, homology, polytope
 from .annulus import Endpoint
-from .maps import (CombinatorialMap, canonical_key, from_strands, one_faced,
-                   passages)
+from .maps import (CombinatorialMap, ExactKey, canonical_key, from_strands,
+                   one_faced, passages)
 
 LETTERS = ("a1", "b1", "a2", "b2")
 
@@ -110,8 +110,13 @@ def canonical_word(curves):
 
 def word_label(curves):
     """Human-readable label such as '{a1 a2^-1, b1 b2 eta}'."""
+    return _label(canonical_word(curves))
+
+
+def _label(word):
+    """The label of a word already in :func:`canonical_word` form."""
     parts = []
-    for curve in canonical_word(curves):
+    for curve in word:
         bits = []
         for letter, sign, twist in curve:
             bits.append(letter if sign > 0 else letter + "^-1")
@@ -141,11 +146,16 @@ def _shifts(c1, c2):
 
 @functools.cache
 def _crossings(c1, c2):
-    """The exact crossing (t1, t2, sign) of chord c1 with each translate
-    of c2 in :func:`_shifts`, as :func:`annulus.segment_intersection`
-    gives it.  Memoised for the life of the process like :func:`_shifts`;
-    callers ask only for pairs that cross, so the table holds one entry
-    per crossing chord pair of the words realized.
+    """The crossing of chord c1 with each translate of c2 in
+    :func:`_shifts`, as (key1, key2, sign): the exact parameter t_i along
+    chord i that :func:`annulus.segment_intersection` gives, as its
+    integer sort key ``ExactKey(t_i) == ((n << 64) // m, t_i)`` for
+    t_i = n / m, and the crossing's sign on the surface (its frame sign
+    times ORIENT).  Sorting crossings then compares integers, and
+    Fractions only where two floors tie.  Memoised for the life of the
+    process like :func:`_shifts`; callers ask only for pairs that cross,
+    so the table holds one entry per crossing chord pair of the words
+    realized.
     """
     out = []
     for k in _shifts(c1, c2):
@@ -153,7 +163,8 @@ def _crossings(c1, c2):
         if hit is None:
             raise AssertionError("chords %r and %r shifted by %d do not cross"
                                  % (c1, c2, k))
-        out.append(hit)
+        t1, t2, sign = hit
+        out.append((ExactKey(t1), ExactKey(t2), sign * ORIENT))
     return tuple(out)
 
 
@@ -226,6 +237,11 @@ STANDARD_SYMPLECTIC = ((0, 1, 0, 0), (-1, 0, 0, 0),
                        (0, 0, 0, 1), (0, 0, -1, 0))
 
 
+def _standard_basis(m, walks):
+    form = homology.intersection_form(m, walks)
+    return tuple(tuple(r) for r in form) == STANDARD_SYMPLECTIC
+
+
 class Genus2Build:
     """A word realized as a combinatorial map with its basis walks."""
 
@@ -240,8 +256,7 @@ class Genus2Build:
         This fails exactly when two arcs share a map edge, in which case
         the per-arc walks coincide and do not span the homology.
         """
-        form = homology.intersection_form(self.map, self.walks)
-        return tuple(tuple(r) for r in form) == STANDARD_SYMPLECTIC
+        return _standard_basis(self.map, self.walks)
 
     def eulco_classes(self):
         return coorient.eulco_classes(self.map, self.walks)
@@ -267,9 +282,9 @@ def _realize(curves, chords, pairs):
     :func:`census` takes the pairs its search met.  Raises _VertexFree
     when some curve has no crossing.
     """
-    # crossings: (conn index, parameter, branch) pairs per vertex
-    crossings = [((i, t1), (j, t2), sign * ORIENT) for i, j in pairs
-                 for t1, t2, sign in _crossings(chords[i], chords[j])]
+    # crossings: ((conn index, parameter key) per branch, sign) per vertex
+    crossings = [((i, k1), (j, k2), sign) for i, j in pairs
+                 for k1, k2, sign in _crossings(chords[i], chords[j])]
     signs, conn_passages = passages(crossings, len(chords))
 
     # each curve's strand of passages; an arc lies on the edge that ends
@@ -486,13 +501,14 @@ def census(twist_bound=2):
     with exactly three crossings and realizes each from the chords and
     crossing pairs the search found (:func:`_realize`, which
     :func:`word_to_map` shares).  Only a one-faced candidate gets its
-    word; each distinct (rotation, pairing) becomes one validated map
-    with one canonical key, and each distinct (map, walks) one
-    :meth:`Genus2Build.standard_basis` check.  The maps are deduplicated
-    up to isomorphism with reflection.  The chord, shift and crossing
-    tables stay for the life of the process and grow with the twist
-    bound.  Returns a list of Genus2Build representatives sorted by
-    curve count (descending), with separating-cycle and genus
+    canonical word and label; each distinct (rotation, pairing) becomes
+    one validated map with one canonical key, and each distinct (map,
+    walks) one :meth:`Genus2Build.standard_basis` check.  The maps are
+    deduplicated up to isomorphism with reflection, and only the
+    candidate that wins its class becomes a Genus2Build.  The chord,
+    shift and crossing tables stay for the life of the process and grow
+    with the twist bound.  Returns a list of Genus2Build representatives
+    sorted by curve count (descending), with separating-cycle and genus
     cross-checks applied.
     These are the one-faced classes the word model reaches, not all of
     them: :func:`exhaustive_unicellular_maps` lists six classes, and the
@@ -516,16 +532,17 @@ def census(twist_bound=2):
             key = canonical_key(m, allow_reflection=True)
             keyed[rotation, pairing] = m, key
         m, key = keyed[rotation, pairing]
-        build = Genus2Build(canonical_word(_word(curves, twists)), m, walks)
+        word = canonical_word(_word(curves, twists))
         if (m, walks) not in standard:
-            standard[m, walks] = build.standard_basis()
+            standard[m, walks] = _standard_basis(m, walks)
         # prefer representatives whose walks form a genuine basis
-        rank = (not standard[m, walks], word_label(build.word))
+        rank = (not standard[m, walks], _label(word))
         prev = found.get(key)
         if prev is None or rank < prev[0]:
-            found[key] = (rank, build)
-    reps = sorted((b for _, b in found.values()),
-                  key=lambda b: (-len(b.word), word_label(b.word)))
+            found[key] = (rank, word, m, walks)
+    # by curve count (descending), then label
+    reps = [Genus2Build(word, m, walks) for _, word, m, walks
+            in sorted(found.values(), key=lambda f: (-len(f[1]), f[0][1]))]
     # both properties are isomorphism invariants: one check per class
     for build in reps:
         if build.map.genus != 2:

@@ -165,6 +165,20 @@ class TestChordModel:
             assert [c2 for c2 in chords
                     if crossing_shifts(c1, c2) != oracle.shifts(c2)] == []
 
+    def test_crossing_shifts_at_lattice_heights_match_scan_oracle(self):
+        # at a height that is a multiple of SCALE, an endpoint on the
+        # side that a one-sided chord does not touch gets an empty range
+        # of inside shifts with first > stop, which must count as empty
+        ports = [Endpoint(s, h) for s in "LR" for h in (0, 4, 9)]
+        chords = [chord(p, q, t) for p in ports for q in ports if p != q
+                  for t in range(-2, 3)]
+        for c1 in chords:
+            oracle = ScanOracle(c1)
+            assert crossing_shifts(c1, c1, self_pair=True) \
+                == oracle.shifts(c1, self_pair=True)
+            assert [c2 for c2 in chords
+                    if crossing_shifts(c1, c2) != oracle.shifts(c2)] == []
+
     def test_untwisted_disjoint_chords(self):
         c1 = chord(Endpoint("L", 6), Endpoint("R", 6), 0)
         c2 = chord(Endpoint("L", 3), Endpoint("R", 3), 0)

@@ -1,5 +1,5 @@
 import hashlib
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import product
 
 import pytest
@@ -361,6 +361,28 @@ class TestCensus:
             outcomes[single] += 1
         assert (outcomes["word error"], outcomes[False], outcomes[True]) \
             == funnel
+
+    def test_crossing_keys_order_as_their_fractions(self):
+        # the whole crossing table after a census: every key is the
+        # integer floor of its exact parameter, and along each chord the
+        # keys sort as the parameters do
+        census._crossings.cache_clear()
+        run_census(3)
+        pairs = {(chords[i], chords[j])
+                 for _, _, _, chords, found
+                 in census._three_crossing_matchings(range(-3, 4))
+                 for i, j in found}
+        assert census._crossings.cache_info().currsize == len(pairs)
+        along = defaultdict(list)  # chord -> the keys of its crossings
+        for c1, c2 in pairs:
+            for k1, k2, _ in census._crossings(c1, c2):
+                along[c1].append(k1)
+                along[c2].append(k2)
+        assert max(map(len, along.values())) > 1
+        for keys in along.values():
+            for floor, t in keys:
+                assert floor == (t.numerator << 64) // t.denominator
+            assert sorted(keys) == sorted(keys, key=lambda k: k[1])
 
     def test_pinned_representatives(self, capsys):
         # the canonical-key tests pin the classes; these digests also pin
