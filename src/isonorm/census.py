@@ -237,11 +237,6 @@ STANDARD_SYMPLECTIC = ((0, 1, 0, 0), (-1, 0, 0, 0),
                        (0, 0, 0, 1), (0, 0, -1, 0))
 
 
-def _standard_basis(m, walks):
-    form = homology.intersection_form(m, walks)
-    return tuple(tuple(r) for r in form) == STANDARD_SYMPLECTIC
-
-
 class Genus2Build:
     """A word realized as a combinatorial map with its basis walks."""
 
@@ -255,8 +250,11 @@ class Genus2Build:
 
         This fails exactly when two arcs share a map edge, in which case
         the per-arc walks coincide and do not span the homology.
+        :func:`census` ranks by this edge rule and certifies each class
+        winner here; a test holds the rule against the form.
         """
-        return _standard_basis(self.map, self.walks)
+        form = homology.intersection_form(self.map, self.walks)
+        return tuple(tuple(r) for r in form) == STANDARD_SYMPLECTIC
 
     def eulco_classes(self):
         return coorient.eulco_classes(self.map, self.walks)
@@ -501,15 +499,16 @@ def census(twist_bound=2):
     with exactly three crossings and realizes each from the chords and
     crossing pairs the search found (:func:`_realize`, which
     :func:`word_to_map` shares).  Only a one-faced candidate gets its
-    canonical word and label; each distinct (rotation, pairing) becomes
-    one validated map with one canonical key, and each distinct (map,
-    walks) one :meth:`Genus2Build.standard_basis` check.  The maps are
-    deduplicated up to isomorphism with reflection, and only the
-    candidate that wins its class becomes a Genus2Build.  The chord,
-    shift and crossing tables stay for the life of the process and grow
-    with the twist bound.  Returns a list of Genus2Build representatives
-    sorted by curve count (descending), with separating-cycle and genus
-    cross-checks applied.
+    canonical word and label, and each distinct (rotation, pairing)
+    becomes one validated map with one canonical key.  The maps are
+    deduplicated up to isomorphism with reflection; a class is won by
+    the candidate whose walks lie on four distinct edges (the edge rule
+    of :meth:`Genus2Build.standard_basis`, held against the form by a
+    test), then by label, and only the winner becomes a Genus2Build.
+    The chord, shift and crossing tables stay for the life of the
+    process and grow with the twist bound.  Returns a list of
+    Genus2Build representatives sorted by curve count (descending),
+    each certified by its genus, separating-cycle and basis checks.
     These are the one-faced classes the word model reaches, not all of
     them: :func:`exhaustive_unicellular_maps` lists six classes, and the
     census finds four.
@@ -519,7 +518,6 @@ def census(twist_bound=2):
     window = range(-twist_bound, twist_bound + 1)
     found = {}
     keyed = {}  # (rotation, pairing) -> (map, canonical key)
-    standard = {}  # (map, walks) -> whether the walks are a standard basis
     for _, curves, twists, chords, pairs in _three_crossing_matchings(window):
         try:
             rotation, pairing, walks = _realize(curves, chords, pairs)
@@ -533,23 +531,24 @@ def census(twist_bound=2):
             keyed[rotation, pairing] = m, key
         m, key = keyed[rotation, pairing]
         word = canonical_word(_word(curves, twists))
-        if (m, walks) not in standard:
-            standard[m, walks] = _standard_basis(m, walks)
-        # prefer representatives whose walks form a genuine basis
-        rank = (not standard[m, walks], _label(word))
+        # prefer walks on four distinct edges: they form a genuine basis
+        rank = (len({m.edge_index(h) for h, in walks}) < 4, _label(word))
         prev = found.get(key)
         if prev is None or rank < prev[0]:
             found[key] = (rank, word, m, walks)
     # by curve count (descending), then label
     reps = [Genus2Build(word, m, walks) for _, word, m, walks
             in sorted(found.values(), key=lambda f: (-len(f[1]), f[0][1]))]
-    # both properties are isomorphism invariants: one check per class
+    # one genus, separating-cycle and basis check per class
     for build in reps:
         if build.map.genus != 2:
             raise AssertionError("%s has genus %d"
                                  % (word_label(build.word), build.map.genus))
         if has_separating_cycle(build.map):
             raise AssertionError("%s has a separating cycle"
+                                 % word_label(build.word))
+        if not build.standard_basis():
+            raise AssertionError("%s has no standard basis"
                                  % word_label(build.word))
     return reps
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter, defaultdict
 from itertools import product
 
@@ -15,8 +16,8 @@ from isonorm.maps import (CombinatorialMap, InvalidMap, canonical_key,
                           parse_map, passages, validate)
 
 from _helpers import (CHAIN, FIGURE_EIGHT, FIXTURES, GOLDEN_BALLS,
-                      INTRO_VECTORS, TORUS_CROSS, WORDS, random_valid_map,
-                      separating_cycle_oracle)
+                      INTRO_VECTORS, STANDARD_SYMPLECTIC, TORUS_CROSS, WORDS,
+                      random_valid_map, separating_cycle_oracle)
 
 CENSUS_JSON_SHA256 = \
     "5bddd6913e3c67318435482c7665c404d333e482bc21df04b5895433e0647f61"
@@ -225,6 +226,30 @@ def word_to_map_oracle(curves):
     return m.rotation, m.pairing, tuple(walks), canonical_word(curves)
 
 
+def one_faced_candidates(twist_bound):
+    """(map, canonical key, walks, canonical word) of every one-faced
+    candidate of the census search at a twist bound, in search order."""
+    keys = {}
+    for _, curves, twists, chords, pairs in \
+            census._three_crossing_matchings(
+                range(-twist_bound, twist_bound + 1)):
+        try:
+            rotation, pairing, walks = census._realize(curves, chords, pairs)
+        except census._VertexFree:
+            continue
+        if not one_faced(rotation, pairing):
+            continue
+        m = CombinatorialMap(rotation, pairing)
+        if m not in keys:
+            keys[m] = canonical_key(m, allow_reflection=True)
+        yield m, keys[m], walks, canonical_word(census._word(curves, twists))
+
+
+def on_distinct_edges(m, walks):
+    """The census's rank rule: the four basis walks lie on four edges."""
+    return len({m.edge_index(h) for walk in walks for h in walk}) == 4
+
+
 def _realize(build, word):
     """(rotation, pairing, walks, word) of a word, or the exception that
     ``build`` raises on it as (type, message)."""
@@ -322,10 +347,54 @@ class TestCensus:
         assert hits and max(hits.values()) == 1
         assert set(keyed) == single_face and max(keyed.values()) == 1
         assert len(single_face) == 41
-        # one map per distinct (rotation, pairing), one intersection form
-        # per distinct (map, walks)
+        # one map per distinct (rotation, pairing), and one intersection
+        # form per class: the certificate of its winner's basis
         assert set(built) == single_face and max(built.values()) == 1
-        assert len(formed) == 194 and max(formed.values()) == 1
+        assert len(formed) == 4 and max(formed.values()) == 1
+
+    @pytest.mark.parametrize("bound, counts", [(2, (712, 709)),
+                                               (3, (1038, 1032))])
+    def test_edge_rule_matches_intersection_form(self, bound, counts):
+        # the census ranks by the edge rule and certifies its winners with
+        # standard_basis; the intersection form is the oracle: the walks
+        # are a standard symplectic basis exactly when they lie on four
+        # distinct edges
+        outcomes = Counter()
+        for m, _, walks, word in one_faced_candidates(bound):
+            form = homology.intersection_form(m, walks)
+            standard = tuple(tuple(r) for r in form) == STANDARD_SYMPLECTIC
+            assert on_distinct_edges(m, walks) == standard, word
+            assert census.Genus2Build(word, m, walks).standard_basis() \
+                == standard, word
+            outcomes[standard] += 1
+        assert (sum(outcomes.values()), outcomes[True]) == counts
+
+    def test_each_winner_is_certified(self, monkeypatch, census_reps):
+        monkeypatch.setattr(census.Genus2Build, "standard_basis",
+                            lambda self: False)
+        label = word_label(census_reps[0].word)
+        with pytest.raises(AssertionError,
+                           match=re.escape(label + " has no standard basis")):
+            run_census(2)
+
+    @pytest.mark.parametrize("bound, sizes", [(2, [87, 105, 248, 272]),
+                                              (3, [121, 141, 376, 400])])
+    def test_each_class_has_one_best_candidate(self, bound, sizes):
+        # no two candidates of a class tie on the census rank, so the
+        # representatives do not depend on the search order
+        ranked = defaultdict(list)  # class key -> (rank, candidate)
+        for m, key, walks, word in one_faced_candidates(bound):
+            rank = (not on_distinct_edges(m, walks), census._label(word))
+            ranked[key].append((rank, (word, m.rotation, m.pairing, walks)))
+        assert sorted(map(len, ranked.values())) == sizes
+        winners = set()
+        for candidates in ranked.values():
+            best = min(rank for rank, _ in candidates)
+            held = [c for rank, c in candidates if rank == best]
+            assert len(held) == 1
+            winners.add(held[0])
+        assert winners == {(b.word, b.map.rotation, b.map.pairing, b.walks)
+                           for b in run_census(bound)}
 
     @pytest.mark.parametrize("bound, funnel", [(2, (144, 1725, 712)),
                                                (3, (240, 2679, 1038))])
