@@ -15,8 +15,6 @@ standard symplectic pairing of the basis walks).
 
 from __future__ import annotations
 
-import functools
-
 from . import annulus, coorient, homology, polytope
 from .annulus import Endpoint
 from .maps import (CombinatorialMap, ExactKey, canonical_key, from_strands,
@@ -126,39 +124,24 @@ def _label(word):
     return "{" + ", ".join(parts) + "}"
 
 
-@functools.cache
 def _connector_chord(u, v, twist):
     """Chord of the connector from port u to port v with word exponent
-    ``twist``; memoised for the life of the process, one entry per
-    connector met."""
+    ``twist``."""
     return annulus.chord(PORTS[u], PORTS[v], twist + _base(u, v))
 
 
-@functools.cache
-def _shifts(c1, c2):
-    """The translates of chord c2 that cross chord c1, as a tuple (see
-    :func:`annulus.crossing_shifts`); a chord paired with itself counts
-    its self-crossings.  Memoised for the life of the process: the table
-    holds one entry per chord pair met, and grows with the twist bound.
-    """
-    return tuple(annulus.crossing_shifts(c1, c2, self_pair=(c1 == c2)))
-
-
-@functools.cache
-def _crossings(c1, c2):
-    """The crossing of chord c1 with each translate of c2 in
-    :func:`_shifts`, as (key1, key2, sign): the exact parameter t_i along
-    chord i that :func:`annulus.segment_intersection` gives, as its
-    integer sort key ``ExactKey(t_i) == ((n << 64) // m, t_i)`` for
-    t_i = n / m, and the crossing's sign on the surface (its frame sign
-    times ORIENT).  Sorting crossings then compares integers, and
-    Fractions only where two floors tie.  Memoised for the life of the
-    process like :func:`_shifts`; callers ask only for pairs that cross,
-    so the table holds one entry per crossing chord pair of the words
-    realized.
+def _crossings(c1, c2, shifts):
+    """The crossing of chord c1 with each translate of c2 by ``shifts``
+    (see :func:`annulus.crossing_shifts`), as (key1, key2, sign): the
+    exact parameter t_i along chord i that
+    :func:`annulus.segment_intersection` gives, as its integer sort key
+    ``ExactKey(t_i) == ((n << 64) // m, t_i)`` for t_i = n / m, and the
+    crossing's sign on the surface (its frame sign times ORIENT).
+    Sorting crossings then compares integers, and Fractions only where
+    two floors tie.
     """
     out = []
-    for k in _shifts(c1, c2):
+    for k in shifts:
         hit = annulus.segment_intersection(c1, annulus.chord(*c2, 0, shift=k))
         if hit is None:
             raise AssertionError("chords %r and %r shifted by %d do not cross"
@@ -185,8 +168,8 @@ def _chords(curves):
 def self_intersection(curves):
     """Total crossings of the collection, all inside the annulus."""
     chords = _chords(curves)
-    return sum(len(_shifts(ci, cj)) for i, ci in enumerate(chords)
-               for cj in chords[i:])
+    return sum(len(annulus.crossing_shifts(ci, cj, self_pair=(ci == cj)))
+               for i, ci in enumerate(chords) for cj in chords[i:])
 
 
 # ---------------------------------------------------------------------------
@@ -268,21 +251,18 @@ class _VertexFree(Exception):
     curve's index is ``args[0]``."""
 
 
-def _realize(curves, chords, pairs):
+def _realize(curves, chords, crossings):
     """The rotation, pairing and basis walks of a collection, before any
     map object is built.
 
     ``curves`` lists each curve's (letter, sign, ...) in order and
     ``chords`` the chord of the connector after each letter, in the same
-    order; ``pairs`` are the (i, j), i <= j, whose chords cross, with
-    chord i passed first to :func:`_shifts` and :func:`_crossings`.
-    :func:`word_to_map` scans every chord pair for them, and
-    :func:`census` takes the pairs its search met.  Raises _VertexFree
-    when some curve has no crossing.
+    order; ``crossings`` holds one ((i, key1), (j, key2), sign) per
+    crossing of chords i <= j, with the keys and sign of
+    :func:`_crossings`.  :func:`word_to_map` computes them for every
+    chord pair, and :func:`census` takes those its search yields.  Raises
+    _VertexFree when some curve has no crossing.
     """
-    # crossings: ((conn index, parameter key) per branch, sign) per vertex
-    crossings = [((i, k1), (j, k2), sign) for i, j in pairs
-                 for k1, k2, sign in _crossings(chords[i], chords[j])]
     signs, conn_passages = passages(crossings, len(chords))
 
     # each curve's strand of passages; an arc lies on the edge that ends
@@ -313,19 +293,21 @@ def word_to_map(curves):
 
     Returns a Genus2Build whose map has one vertex per crossing; raises
     WordError when some curve has no crossing at all (a vertex-free
-    component, not representable as a 4-valent map).  Chords, shifts and
-    crossings come from the memoised :func:`_connector_chord`,
-    :func:`_shifts` and :func:`_crossings`; every chord pair is scanned
-    for crossings, and :func:`_realize`, which the census shares, gives
-    the rotation, pairing and walks.
+    component, not representable as a 4-valent map).  The crossings of
+    every chord pair are computed in one pass, and :func:`_realize`,
+    which the census shares, gives the rotation, pairing and walks.
     """
     chords = _chords(curves)
-    pairs = [(i, j) for i, ci in enumerate(chords)
-             for j in range(i, len(chords)) if _shifts(ci, chords[j])]
-    if not pairs:
+    crossings = []
+    for i, ci in enumerate(chords):
+        for j, cj in enumerate(chords[i:], i):
+            shifts = annulus.crossing_shifts(ci, cj, self_pair=(i == j))
+            crossings += [((i, k1), (j, k2), sign)
+                          for k1, k2, sign in _crossings(ci, cj, shifts)]
+    if not crossings:
         raise WordError("collection has no crossings")
     try:
-        rotation, pairing, walks = _realize(curves, chords, pairs)
+        rotation, pairing, walks = _realize(curves, chords, crossings)
     except _VertexFree as exc:
         raise WordError(
             "curve %s has no crossings (vertex-free component)"
@@ -432,11 +414,10 @@ def _word(curves, twists):
 
 def _three_crossing_matchings(window):
     """Port matchings with twists from ``window`` whose connectors cross
-    exactly three times, as (matching, curves, twists, chords, pairs):
-    the matching's curves (:func:`_matching_curves`), its connectors'
-    chords in curve order, each drawn in its curve's direction, and the
-    pairs (i, j), i <= j, of those chords that cross, as
-    :func:`_realize` takes them.
+    exactly three times, as (matching, curves, twists, chords,
+    crossings): the matching's curves (:func:`_matching_curves`), its
+    connectors' chords in curve order, each drawn in its curve's
+    direction, and their crossings as :func:`_realize` takes them.
 
     One depth-first search per matching places connector k after
     connectors 0..k-1, trying the twists in window order, and keeps a
@@ -444,12 +425,14 @@ def _three_crossing_matchings(window):
     crossings with the chords already placed, and each pair that crosses
     is recorded.  A prefix is dropped as soon as the total exceeds
     three.  Per matching the twists come out in the order of
-    ``itertools.product(window, repeat=4)``.  Before the search of a
-    matching, each connector's chord and self-crossing count are looked
-    up once per twist.  Two chords are passed to :func:`_shifts` in curve
-    order, so the search fills the entries that :func:`_crossings` and
-    :func:`word_to_map` read for the same word.
+    ``itertools.product(window, repeat=4)``.  Each connector chord, the
+    shifts of each chord pair met and the crossings of each pair a
+    candidate holds are computed once, in tables that live as long as
+    the search.
     """
+    chord_of = {}  # (exit port, entry port, word exponent) -> chord
+    shifts = {}    # (chord, chord) in curve order -> crossing shifts
+    crossed = {}   # (chord, chord) in curve order -> their _crossings
 
     def extend(options, twists, placed, pairs, total):
         if len(twists) == len(options):
@@ -462,12 +445,15 @@ def _three_crossing_matchings(window):
             if more > 3:
                 continue
             found = pairs + ((pos, pos),) if own else pairs
-            # connectors of one matching share no port, so no placed
-            # chord equals c and _shifts counts crossings, not self ones
             for p, prev in placed:
-                shifts = _shifts(prev, c) if p < pos else _shifts(c, prev)
-                if shifts:
-                    more += len(shifts)
+                pair = (prev, c) if p < pos else (c, prev)
+                got = shifts.get(pair)
+                if got is None:
+                    # connectors of one matching share no port, so these
+                    # are no self-crossings; most pairs get the shared ()
+                    got = shifts[pair] = tuple(annulus.crossing_shifts(*pair))
+                if got:
+                    more += len(got)
                     if more > 3:
                         break
                     found += ((min(p, pos), max(p, pos)),)
@@ -483,13 +469,26 @@ def _three_crossing_matchings(window):
         order = [conn for curve in curves for _, _, conn in curve]
         for pos, (k, o) in enumerate(order):
             exit_, entry = matching[k][::o]  # the curve's direction
-            chords = [(t, _connector_chord(exit_, entry, o * t))
-                      for t in window]
-            options[k] = (pos, [(t, c, len(_shifts(c, c)))
-                                for t, c in chords])
+            choices = []
+            for t in window:
+                key = exit_, entry, o * t
+                c = chord_of.get(key)
+                if c is None:
+                    c = chord_of[key] = _connector_chord(*key)
+                    shifts[c, c] = annulus.crossing_shifts(c, c,
+                                                           self_pair=True)
+                choices.append((t, c, len(shifts[c, c])))
+            options[k] = (pos, choices)
         for twists, placed, pairs in extend(options, (), (), (), 0):
-            yield (matching, curves, twists,
-                   tuple(c for _, c in sorted(placed)), pairs)
+            chords = tuple(c for _, c in sorted(placed))
+            crossings = []
+            for i, j in pairs:
+                pair = chords[i], chords[j]
+                got = crossed.get(pair)
+                if got is None:
+                    got = crossed[pair] = _crossings(*pair, shifts[pair])
+                crossings += [((i, k1), (j, k2), sign) for k1, k2, sign in got]
+            yield matching, curves, twists, chords, crossings
 
 
 def census(twist_bound=2):
@@ -497,7 +496,7 @@ def census(twist_bound=2):
 
     Searches the port matchings with twists in the window for the words
     with exactly three crossings and realizes each from the chords and
-    crossing pairs the search found (:func:`_realize`, which
+    crossings the search found (:func:`_realize`, which
     :func:`word_to_map` shares).  Only a one-faced candidate gets its
     canonical word and label, and each distinct (rotation, pairing)
     becomes one validated map with one canonical key.  The maps are
@@ -505,10 +504,10 @@ def census(twist_bound=2):
     the candidate whose walks lie on four distinct edges (the edge rule
     of :meth:`Genus2Build.standard_basis`, held against the form by a
     test), then by label, and only the winner becomes a Genus2Build.
-    The chord, shift and crossing tables stay for the life of the
-    process and grow with the twist bound.  Returns a list of
-    Genus2Build representatives sorted by curve count (descending),
-    each certified by its genus, separating-cycle and basis checks.
+    The search's chord, shift and crossing tables are dropped when the
+    call returns.  Returns a list of Genus2Build representatives sorted
+    by curve count (descending), each certified by its genus,
+    separating-cycle and basis checks.
     These are the one-faced classes the word model reaches, not all of
     them: :func:`exhaustive_unicellular_maps` lists six classes, and the
     census finds four.
@@ -518,9 +517,10 @@ def census(twist_bound=2):
     window = range(-twist_bound, twist_bound + 1)
     found = {}
     keyed = {}  # (rotation, pairing) -> (map, canonical key)
-    for _, curves, twists, chords, pairs in _three_crossing_matchings(window):
+    for _, curves, twists, chords, crossings in \
+            _three_crossing_matchings(window):
         try:
-            rotation, pairing, walks = _realize(curves, chords, pairs)
+            rotation, pairing, walks = _realize(curves, chords, crossings)
         except _VertexFree:
             continue
         if not one_faced(rotation, pairing):

@@ -30,6 +30,8 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise ParseFailure("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise ParseFailure("%s: %s" % (path, exc))
 
 
 def _load_map(path):

@@ -175,9 +175,10 @@ def product_oracle(twist_bound):
 
 
 def word_to_map_oracle(curves):
-    """word_to_map without the chord and shift tables: every chord is
-    built with annulus.chord and every chord pair of every word gets its
-    own crossing_shifts call, as the census did before it memoised them."""
+    """word_to_map written out on its own: every chord is built with
+    annulus.chord, every chord pair gets its own crossing_shifts call,
+    and crossings are ordered by their Fraction parameters, not by the
+    census's integer keys."""
     census._check_word(curves)
     chords = []
     for curve in curves:
@@ -230,11 +231,12 @@ def one_faced_candidates(twist_bound):
     """(map, canonical key, walks, canonical word) of every one-faced
     candidate of the census search at a twist bound, in search order."""
     keys = {}
-    for _, curves, twists, chords, pairs in \
+    for _, curves, twists, chords, crossings in \
             census._three_crossing_matchings(
                 range(-twist_bound, twist_bound + 1)):
         try:
-            rotation, pairing, walks = census._realize(curves, chords, pairs)
+            rotation, pairing, walks = census._realize(curves, chords,
+                                                       crossings)
         except census._VertexFree:
             continue
         if not one_faced(rotation, pairing):
@@ -269,7 +271,7 @@ class TestCensus:
         assert found == product_oracle(bound)
 
     def test_word_to_map_matches_uncached_oracle(self):
-        def cached(word):
+        def built(word):
             b = word_to_map(word)
             return b.map.rotation, b.map.pairing, b.walks, b.word
 
@@ -277,16 +279,13 @@ class TestCensus:
         for _, curves, twists, _, _ in census._three_crossing_matchings(
                 range(-2, 3)):
             word = census._word(curves, twists)
-            got = _realize(cached, word)
+            got = _realize(built, word)
             assert got == _realize(word_to_map_oracle, word), word
             outcomes[isinstance(got[0], type)] += 1
         assert sum(outcomes.values()) == 2581
         assert outcomes[True] and outcomes[False]
 
     def test_each_shift_and_key_computed_once(self, monkeypatch):
-        census._shifts.cache_clear()
-        census._crossings.cache_clear()
-        census._connector_chord.cache_clear()
         real_shifts = annulus.crossing_shifts
         real_intersection = annulus.segment_intersection
         real_key = census.canonical_key
@@ -321,8 +320,9 @@ class TestCensus:
             formed[m.rotation, m.pairing, tuple(basis)] += 1
             return real_form(m, basis)
 
-        def realize(curves, chords, pairs):
-            rotation, pairing, walks = real_realize(curves, chords, pairs)
+        def realize(curves, chords, crossings):
+            rotation, pairing, walks = real_realize(curves, chords,
+                                                    crossings)
             realized.add((rotation, pairing))
             return rotation, pairing, walks
 
@@ -351,6 +351,13 @@ class TestCensus:
         # form per class: the certificate of its winner's basis
         assert set(built) == single_face and max(built.values()) == 1
         assert len(formed) == 4 and max(formed.values()) == 1
+        # no table outlives a census: a second one in the same process
+        # computes every shift and crossing again, each once
+        first = dict(shift_args), dict(hits)
+        shift_args.clear()
+        hits.clear()
+        assert len(run_census(2)) == 4
+        assert (dict(shift_args), dict(hits)) == first
 
     @pytest.mark.parametrize("bound, counts", [(2, (712, 709)),
                                                (3, (1038, 1032))])
@@ -399,25 +406,26 @@ class TestCensus:
     @pytest.mark.parametrize("bound, funnel", [(2, (144, 1725, 712)),
                                                (3, (240, 2679, 1038))])
     def test_one_face_test_matches_built_maps(self, bound, funnel):
-        # every candidate, realized from the chords and crossing pairs of
+        # every candidate, realized from the chords and crossings of
         # the search as the census does it, equals the uncached oracle's
         # realization of its word; the census drops a candidate on the
         # raw one-face test, and built as a map a candidate has one face
         # exactly when the test passes
         outcomes = Counter()
-        for _, curves, twists, chords, pairs in \
+        for _, curves, twists, chords, crossings in \
                 census._three_crossing_matchings(range(-bound, bound + 1)):
             word = census._word(curves, twists)
             expected = _realize(word_to_map_oracle, word)
             if expected[0] is WordError:
                 with pytest.raises(census._VertexFree):
-                    census._realize(curves, chords, pairs)
+                    census._realize(curves, chords, crossings)
                 with pytest.raises(WordError) as exc:
                     word_to_map(word)
                 assert str(exc.value) == expected[1]
                 outcomes["word error"] += 1
                 continue
-            rotation, pairing, walks = census._realize(curves, chords, pairs)
+            rotation, pairing, walks = census._realize(curves, chords,
+                                                       crossings)
             try:
                 m = CombinatorialMap(rotation, pairing)
             except InvalidMap as exc:  # disconnected
@@ -432,19 +440,21 @@ class TestCensus:
             == funnel
 
     def test_crossing_keys_order_as_their_fractions(self):
-        # the whole crossing table after a census: every key is the
-        # integer floor of its exact parameter, and along each chord the
-        # keys sort as the parameters do
-        census._crossings.cache_clear()
-        run_census(3)
-        pairs = {(chords[i], chords[j])
-                 for _, _, _, chords, found
-                 in census._three_crossing_matchings(range(-3, 4))
-                 for i, j in found}
-        assert census._crossings.cache_info().currsize == len(pairs)
+        # every crossing the search yields: its keys are the integer
+        # floors of their exact parameters, a chord pair has the same
+        # crossings in every candidate that holds it, and along each
+        # chord the keys sort as the parameters do
+        pairs = {}  # (chord, chord) -> their crossings
+        for _, _, _, chords, crossings in \
+                census._three_crossing_matchings(range(-3, 4)):
+            met = defaultdict(list)
+            for (i, k1), (j, k2), sign in crossings:
+                met[chords[i], chords[j]].append((k1, k2, sign))
+            for pair, found in met.items():
+                assert pairs.setdefault(pair, found) == found
         along = defaultdict(list)  # chord -> the keys of its crossings
-        for c1, c2 in pairs:
-            for k1, k2, _ in census._crossings(c1, c2):
+        for (c1, c2), found in pairs.items():
+            for k1, k2, _ in found:
                 along[c1].append(k1)
                 along[c2].append(k2)
         assert max(map(len, along.values())) > 1

@@ -468,6 +468,22 @@ class TestCheckP8:
         assert "mixed dimension" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "BAD"], ["faces", "BAD"], ["dualball", "BAD"],
+    ["norm", "BAD", "1", "0", "0", "0"], ["smooth", "BAD", "0"],
+    ["reduce", "BAD"], ["parity", "BAD"],
+    ["dualball", fx("census1.map"), "--walks", "BAD"],
+    ["check-p8", "BAD"], ["realize-torus", "BAD"]],
+    ids=lambda argv: argv[0] + "-walks" * ("--walks" in argv))
+def test_file_that_is_not_utf8_exits_two(capsys, tmp_path, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, *[str(bad) if a == "BAD" else a
+                                   for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: " % bad) and "Traceback" not in err
+
+
 _MAP_LINES = st.one_of(
     st.sampled_from(["map V=1", "map V=2", "map V=0", "map V=-1",
                      "map V=x", "map V=99999999999999", "map", "# note"]),

@@ -16,6 +16,21 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_no_module_level_memo_tables():
+    # a functools.cache or lru_cache on a top-level function is a table
+    # that lives as long as the process and grows with every call
+    memo = {"cache", "lru_cache", "functools.cache", "functools.lru_cache"}
+    paths = sorted(Path(maps.__file__).parent.glob("*.py"))
+    assert len(paths) >= 9
+    found = ["%s:%d" % (p.name, stmt.lineno)
+             for p in paths
+             for stmt in ast.parse(p.read_text(), str(p)).body
+             if isinstance(stmt, ast.FunctionDef)
+             for dec in stmt.decorator_list
+             if ast.unparse(dec).split("(")[0] in memo]
+    assert found == []
+
+
 def _names(tree):
     """Every identifier a module defines, imports or refers to."""
     for node in ast.walk(tree):
