@@ -18,15 +18,17 @@ translates, found by floor division; the crossing translates are the
 symmetric difference of the two intervals.  Chords are realized as
 straight segments in a round disk with a rational boundary
 parametrization.  Their endpoints are integer homogeneous points on the
-circle, so a crossing is found and oriented in integer arithmetic; only
-the two crossing parameters it returns are built as Fractions.
+circle, so a crossing is found, oriented and keyed in integer
+arithmetic: a crossing parameter n / m, with m below 2**(KEY_BITS / 2),
+is keyed (n << KEY_BITS) // m.  Two distinct such parameters differ by
+more than 2**-KEY_BITS, so keys order as the parameters do, and equal
+keys mean equal parameters.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 SCALE = 9  # lift heights live in (port height) + SCALE * Z
+KEY_BITS = 256  # bits below the binary point of a crossing key
 
 
 class Endpoint(tuple):
@@ -139,14 +141,16 @@ def _circle_point(pt):
 def segment_intersection(c1, c2):
     """Crossing of two straight disk chords.
 
-    Returns (t1, t2, sign) with t_i the affine parameter of the crossing
-    along chord i and sign = +1 iff (direction of c1, direction of c2) is
-    a positively oriented frame; None if the segments do not cross.
+    Returns (k1, k2, sign), k_i the key of the crossing's parameter along
+    chord i (see the module docstring) and sign = +1 iff (direction of
+    c1, direction of c2) is a positively oriented frame; None if the
+    segments do not cross.
 
     With chord i from a_i to b_i, t1 = (a2 - a1) x d2 / (d1 x d2) and
     t2 = (a2 - a1) x d1 / (d1 x d2) for d_i = b_i - a_i.  Clearing the
     positive weights of the homogeneous endpoints leaves each parameter a
-    quotient of integers, compared with 0 and 1 by cross-multiplication.
+    quotient n / m of integers, compared with 0 and 1 by
+    cross-multiplication; ValueError if some m reaches 2**(KEY_BITS / 2).
     """
     xa, ya, wa = _circle_point(c1[0])
     xb, yb, wb = _circle_point(c1[1])
@@ -165,4 +169,6 @@ def segment_intersection(c1, c2):
     n2, m2 = (rx * d1y - ry * d1x) * wd * sign, wa * den * sign
     if not (0 < n1 < m1 and 0 < n2 < m2):
         return None
-    return (Fraction(n1, m1), Fraction(n2, m2), sign)
+    if max(m1, m2) >> KEY_BITS // 2:
+        raise ValueError("crossing denominator reaches 2**(KEY_BITS / 2)")
+    return ((n1 << KEY_BITS) // m1, (n2 << KEY_BITS) // m2, sign)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from . import annulus, coorient, homology, polytope
 from .annulus import Endpoint
-from .maps import (CombinatorialMap, ExactKey, canonical_key, from_strands,
-                   one_faced, passages)
+from .maps import (CombinatorialMap, canonical_key, from_strands, one_faced,
+                   passages)
 
 LETTERS = ("a1", "b1", "a2", "b2")
 
@@ -133,12 +133,9 @@ def _connector_chord(u, v, twist):
 def _crossings(c1, c2, shifts):
     """The crossing of chord c1 with each translate of c2 by ``shifts``
     (see :func:`annulus.crossing_shifts`), as (key1, key2, sign): the
-    exact parameter t_i along chord i that
-    :func:`annulus.segment_intersection` gives, as its integer sort key
-    ``ExactKey(t_i) == ((n << 64) // m, t_i)`` for t_i = n / m, and the
-    crossing's sign on the surface (its frame sign times ORIENT).
-    Sorting crossings then compares integers, and Fractions only where
-    two floors tie.
+    exact integer keys of the crossing parameters along the two chords
+    that :func:`annulus.segment_intersection` gives, and the crossing's
+    sign on the surface (its frame sign times ORIENT).
     """
     out = []
     for k in shifts:
@@ -146,8 +143,8 @@ def _crossings(c1, c2, shifts):
         if hit is None:
             raise AssertionError("chords %r and %r shifted by %d do not cross"
                                  % (c1, c2, k))
-        t1, t2, sign = hit
-        out.append((ExactKey(t1), ExactKey(t2), sign * ORIENT))
+        key1, key2, sign = hit
+        out.append((key1, key2, sign * ORIENT))
     return tuple(out)
 
 

@@ -179,7 +179,7 @@ class EulcoSet:
                 for nu in self.items}
 
 
-def eulco_classes(m, basis=None):
+def eulco_classes(m, basis):
     """The set [Eulco] of cohomology class vectors of the map.
 
     A frontier dynamic programme over the edges, in the order
@@ -191,8 +191,6 @@ def eulco_classes(m, basis=None):
     equal states merge, so the work follows the number of distinct states,
     not the number of Eulerian co-orientations.
     """
-    if basis is None:
-        basis = homology.homology_basis(m)
     walks = tuple(basis)
     homology.check_steps(m, walks)
     steps = [Counter(w) for w in walks]

@@ -157,31 +157,14 @@ class CombinatorialMap:
         return (2 - chi) // 2
 
 
-class ExactKey(tuple):
-    """A Fraction t as the sort key (floor(t * 2**64), t).
-
-    The floor is monotone in t, so keys order as their values do: two keys
-    compare as integers, and as Fractions only when their floors tie.
-    Equal keys have equal values, and str() gives the exact value.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, t):
-        return tuple.__new__(cls, ((t.numerator << 64) // t.denominator, t))
-
-    def __str__(self):
-        return str(self[1])
-
-
 def passages(crossings, paths):
     """Vertex signs and each path's (vertex, branch) passages in order.
 
     A crossing ``((i, s), (j, t), sign)`` is passed by path i at parameter
     s on branch 0 and by path j at t on branch 1; vertex v is the v-th
-    crossing in sorted order.  Parameters may be of any ordered type, such
-    as Fractions or their :class:`ExactKey`.  Two passages of one path at
-    the same parameter raise MapError.
+    crossing in sorted order.  Parameters may be of any ordered type:
+    Fractions from the torus, integer keys from the census.  Two passages
+    of one path at the same parameter raise MapError.
     """
     crossings = sorted(crossings)
     per_path = [[] for _ in range(paths)]

@@ -134,7 +134,7 @@ def _compact(m, pairing, gone):
             relabel)
 
 
-def eulco_union_check(m, vertex, basis=None):
+def eulco_union_check(m, vertex, basis):
     """Check [Eulco(parent)] = [Eulco(child1)] u [Eulco(child2)].
 
     Class sets are compared in the parent basis, transported edge-wise into
@@ -146,8 +146,6 @@ def eulco_union_check(m, vertex, basis=None):
     Eulerian co-orientations.  Returns (applicable, holds, detail dict);
     inapplicable when a child is degenerate.
     """
-    if basis is None:
-        basis = homology.homology_basis(m)
     walks = tuple(basis)
     children = smooth(m, vertex)
     if any(c.degenerate for c in children):
@@ -241,20 +239,18 @@ def reduce_map(m):
     return reduced, trace
 
 
-def norm_parity(m, basis=None):
+def norm_parity(m, basis):
     """"even" iff the intersection norm takes only even values.
 
     Each walk step crosses one edge, which any co-orientation gives +1 or
     -1, so coordinate i of every Eulerian class is len(w_i) mod 2.
     """
-    if basis is None:
-        basis = homology.homology_basis(m)
     walks = tuple(basis)
     homology.check_steps(m, walks)
     return "even" if all(len(w) % 2 == 0 for w in walks) else "odd"
 
 
-def norm(m, a, basis=None):
+def norm(m, a, basis):
     """The intersection norm of the class a (one coordinate per basis
     walk): the support of the dual ball at a, i.e. the largest pairing of
     a with an Eulerian class."""

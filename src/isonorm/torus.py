@@ -17,7 +17,7 @@ once per residue modulo det(d1, d2) (see :func:`_line_crossings`).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from . import polytope
 from .maps import CombinatorialMap, MapError, from_strands, passages
@@ -130,17 +130,26 @@ def realize_map(collection):
     there are at least two distinct (hence non-parallel) classes.  Curves
     are straight geodesics; parallel copies are offset by distinct
     fractions, and all crossings are computed exactly.
+
+    Copy t of direction (a, b) is offset by ((t + 1)(salt + 3) / p,
+    ((t + 2)^2 + 5 salt) / q) for distinct primes p > |b| and q > |a|,
+    both above 2 len(dirs) + 4.  Copies t > s coincide iff p divides
+    (t - s)(salt + 3) b and q divides (t - s)(t + s + 4) a, which these
+    primes rule out (a = 0 forces b = 1).
     """
     fams = collection.families
     if len(fams) < 2:
         return None
     dirs = [c for c, m in fams for _ in range(m)]
-    # generic offsets avoid triple points and coincident parallel copies;
-    # retry with a new salt on the (codimension-one) degenerate choices
+    low = 2 * len(dirs) + 5
+    p = _prime_from(max(997, low, *(abs(b) + 1 for _, b in dirs)))
+    q = _prime_from(max(1013, low, p + 1, *(abs(a) + 1 for a, _ in dirs)))
+    # generic offsets avoid triple points; retry with a new salt on the
+    # (codimension-one) degenerate choices
     for salt in range(64):
         curves = [
-            (d, (Fraction((t + 1) * (salt + 3), 997),
-                 Fraction((t + 2) * (t + 2) + 5 * salt, 1013)))
+            (d, (Fraction((t + 1) * (salt + 3), p),
+                 Fraction((t + 2) * (t + 2) + 5 * salt, q)))
             for t, d in enumerate(dirs)]
         try:
             signs, strands = passages(_line_crossings(curves), len(curves))
@@ -149,6 +158,13 @@ def realize_map(collection):
         rotation, pairing, _ = from_strands(signs, strands)
         return CombinatorialMap(rotation, pairing)
     raise AssertionError("no generic offset found")
+
+
+def _prime_from(n):
+    """The least prime >= n, for n >= 2."""
+    while any(n % d == 0 for d in range(2, isqrt(n) + 1)):
+        n += 1
+    return n
 
 
 def _det(u, v):

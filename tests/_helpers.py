@@ -5,10 +5,12 @@ cannot hide on both sides of a comparison.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
+from isonorm.annulus import KEY_BITS, SCALE
 from isonorm.coorient import CoOrientation, EulcoSet, is_eulerian
 from isonorm.homology import homology_basis
 from isonorm.maps import CombinatorialMap, InvalidMap, curves
@@ -80,6 +82,47 @@ TORUS_FAMILIES = (
     (((1, 2), 1), ((2, -1), 1), ((3, 1), 1)),
     (((1, 0), 1), ((1, 3), 2), ((2, 1), 1)),
 )
+
+
+@lru_cache(maxsize=None)
+def disk_point(pt):
+    """Rational point on the unit circle for a boundary position, built
+    with Fractions: boundary coordinate s = -y / (1 + |y|) on the left
+    and 2 + y / (1 + |y|) on the right for y = h / SCALE, and t = s - 1
+    the tangent-half-angle of the circle parametrization."""
+    side, h = pt
+    y = Fraction(h, SCALE)
+    frac = y / (1 + abs(y))
+    s = -frac if side == "L" else 2 + frac
+    t = s - 1
+    den = 1 + t * t
+    return ((1 - t * t) / den, 2 * t / den)
+
+
+@lru_cache(maxsize=None)
+def _frame(c):
+    p, q = disk_point(c[0]), disk_point(c[1])
+    return p, (q[0] - p[0], q[1] - p[1])
+
+
+def segment_intersection_oracle(c1, c2):
+    """Crossing (t1, t2, sign) of two straight disk chords in Fractions."""
+    p1, d1 = _frame(c1)
+    p2, d2 = _frame(c2)
+    den = d1[0] * d2[1] - d1[1] * d2[0]
+    if den == 0:
+        return None
+    rx, ry = p2[0] - p1[0], p2[1] - p1[1]
+    t1 = (rx * d2[1] - ry * d2[0]) / den
+    t2 = (rx * d1[1] - ry * d1[0]) / den
+    if not (0 < t1 < 1 and 0 < t2 < 1):
+        return None
+    return (t1, t2, 1 if den > 0 else -1)
+
+
+def floor_key(t):
+    """floor(t * 2**KEY_BITS) of a Fraction t."""
+    return t.numerator * 2 ** KEY_BITS // t.denominator
 
 
 def random_valid_map(rng, num_vertices):

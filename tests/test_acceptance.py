@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from isonorm import census, coorient, moves, polytope, torus
+from isonorm import census, coorient, homology, moves, polytope, torus
 from isonorm.maps import curves as map_curves, validate
 from isonorm.polytope import convex_hull, in_convex_hull, support
 
@@ -144,7 +144,7 @@ class TestClassSetInvariants:
     def check(self, m):
         eulcos = coorient.enumerate_eulerian(m)
         assert len(eulcos) >= 2 ** len(map_curves(m))
-        classes = coorient.eulco_classes(m)
+        classes = coorient.eulco_classes(m, homology.homology_basis(m))
         base = next(iter(classes))
         for v in classes:
             assert tuple(-x for x in v) in classes

@@ -1,13 +1,12 @@
-from fractions import Fraction
-from functools import lru_cache
-
 import pytest
 
 from isonorm import annulus
-from isonorm.annulus import (Endpoint, chord, count_crossings,
+from isonorm.annulus import (KEY_BITS, Endpoint, chord, count_crossings,
                              count_self_crossings, crossing_shifts,
                              segment_intersection)
 from isonorm.census import AnnulusArc, arc_intersection
+
+from _helpers import floor_key, segment_intersection_oracle
 
 
 def arc(start, end, twist):
@@ -53,42 +52,6 @@ class ScanOracle:
         (inside0, on0), (inside1, on1) = self.moves(c2[0]), self.moves(c2[1])
         crossing = sorted((inside0 ^ inside1) - on0 - on1)
         return [k for k in crossing if k >= 1] if self_pair else crossing
-
-
-@lru_cache(maxsize=None)
-def disk_point(pt):
-    """Rational point on the unit circle for a boundary position, built
-    with Fractions: boundary coordinate s = -y / (1 + |y|) on the left
-    and 2 + y / (1 + |y|) on the right for y = h / SCALE, and t = s - 1
-    the tangent-half-angle of the circle parametrization."""
-    side, h = pt
-    y = Fraction(h, annulus.SCALE)
-    frac = y / (1 + abs(y))
-    s = -frac if side == "L" else 2 + frac
-    t = s - 1
-    den = 1 + t * t
-    return ((1 - t * t) / den, 2 * t / den)
-
-
-@lru_cache(maxsize=None)
-def _frame(c):
-    p, q = disk_point(c[0]), disk_point(c[1])
-    return p, (q[0] - p[0], q[1] - p[1])
-
-
-def segment_intersection_oracle(c1, c2):
-    """Crossing (t1, t2, sign) of two straight disk chords in Fractions."""
-    p1, d1 = _frame(c1)
-    p2, d2 = _frame(c2)
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if den == 0:
-        return None
-    rx, ry = p2[0] - p1[0], p2[1] - p1[1]
-    t1 = (rx * d2[1] - ry * d2[0]) / den
-    t2 = (rx * d1[1] - ry * d1[0]) / den
-    if not (0 < t1 < 1 and 0 < t2 < 1):
-        return None
-    return (t1, t2, 1 if den > 0 else -1)
 
 
 class TestArcFormulas:
@@ -236,9 +199,9 @@ class TestChordModel:
         c2 = chord(Endpoint("L", 3), Endpoint("R", 6), 0)
         hit = segment_intersection(c1, c2)
         assert hit is not None
-        t1, t2, sign = hit
-        assert isinstance(t1, Fraction) and isinstance(t2, Fraction)
-        assert 0 < t1 < 1 and 0 < t2 < 1
+        key1, key2, sign = hit
+        assert type(key1) is int and type(key2) is int
+        assert 0 < key1 < 1 << KEY_BITS and 0 < key2 < 1 << KEY_BITS
         assert sign in (-1, 1)
         # swapping the chords flips the frame orientation
         assert segment_intersection(c2, c1)[2] == -sign
@@ -255,14 +218,39 @@ class TestChordModel:
         hits = 0
         for firsts, seconds in ((chords, chords), (untwisted, shifted)):
             for c1 in firsts:
+                along = []  # (key, exact parameter) of each crossing on c1
                 for c2 in seconds:
                     hit = segment_intersection(c1, c2)
-                    assert hit == segment_intersection_oracle(c1, c2), \
+                    expect = segment_intersection_oracle(c1, c2)
+                    if expect is None:
+                        assert hit is None, (c1, c2)
+                        continue
+                    t1, t2, sign = expect
+                    assert hit == (floor_key(t1), floor_key(t2), sign), \
                         (c1, c2)
-                    hits += hit is not None
+                    along.append((hit[0], t1))
+                    hits += 1
+                # the keys are floors, so they sort as the parameters do
+                # once they tie only where the parameters are equal
+                along.sort()
+                assert all(t == t_next for (k, t), (k_next, t_next)
+                           in zip(along, along[1:]) if k == k_next)
         # both outcomes occur often
         assert 0.1 < hits / (len(chords) ** 2 + len(untwisted)
                              * len(shifted)) < 0.9
+
+    def test_tall_chords_raise(self):
+        # a crossing parameter with denominator 2**(KEY_BITS / 2) or more
+        # could share its key with a distinct one
+        c1 = chord(Endpoint("L", 6), Endpoint("R", 3), 0)
+        low, tall = (chord(Endpoint("L", 3), Endpoint("R", 6), 2 ** e)
+                     for e in (40, 44))
+        t1, t2, sign = segment_intersection_oracle(c1, low)
+        assert segment_intersection(c1, low) \
+            == (floor_key(t1), floor_key(t2), sign)
+        assert segment_intersection_oracle(c1, tall) is not None
+        with pytest.raises(ValueError):
+            segment_intersection(c1, tall)
 
     def test_parallel_segments_do_not_cross(self):
         c = chord(Endpoint("L", 6), Endpoint("R", 3), 0)

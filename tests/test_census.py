@@ -17,7 +17,8 @@ from isonorm.maps import (CombinatorialMap, InvalidMap, canonical_key,
 
 from _helpers import (CHAIN, FIGURE_EIGHT, FIXTURES, GOLDEN_BALLS,
                       INTRO_VECTORS, STANDARD_SYMPLECTIC, TORUS_CROSS, WORDS,
-                      random_valid_map, separating_cycle_oracle)
+                      floor_key, random_valid_map,
+                      segment_intersection_oracle, separating_cycle_oracle)
 
 CENSUS_JSON_SHA256 = \
     "5bddd6913e3c67318435482c7665c404d333e482bc21df04b5895433e0647f61"
@@ -177,8 +178,9 @@ def product_oracle(twist_bound):
 def word_to_map_oracle(curves):
     """word_to_map written out on its own: every chord is built with
     annulus.chord, every chord pair gets its own crossing_shifts call,
-    and crossings are ordered by their Fraction parameters, not by the
-    census's integer keys."""
+    and crossings are ordered by the Fraction parameters of
+    segment_intersection_oracle, not by the integer keys of
+    annulus.segment_intersection."""
     census._check_word(curves)
     chords = []
     for curve in curves:
@@ -193,7 +195,7 @@ def word_to_map_oracle(curves):
         for j in range(i, len(chords)):
             for k in annulus.crossing_shifts(ci, chords[j],
                                              self_pair=(i == j)):
-                hit = annulus.segment_intersection(
+                hit = segment_intersection_oracle(
                     ci, annulus.chord(*chords[j], 0, shift=k))
                 if hit is None:
                     raise AssertionError(
@@ -440,9 +442,9 @@ class TestCensus:
             == funnel
 
     def test_crossing_keys_order_as_their_fractions(self):
-        # every crossing the search yields: its keys are the integer
-        # floors of their exact parameters, a chord pair has the same
-        # crossings in every candidate that holds it, and along each
+        # every crossing the search yields: a chord pair has the same
+        # crossings in every candidate that holds it, their keys are the
+        # integer floors of the oracle's exact parameters, and along each
         # chord the keys sort as the parameters do
         pairs = {}  # (chord, chord) -> their crossings
         for _, _, _, chords, crossings in \
@@ -452,16 +454,24 @@ class TestCensus:
                 met[chords[i], chords[j]].append((k1, k2, sign))
             for pair, found in met.items():
                 assert pairs.setdefault(pair, found) == found
-        along = defaultdict(list)  # chord -> the keys of its crossings
+        along = defaultdict(list)  # chord -> (key, parameter) per crossing
         for (c1, c2), found in pairs.items():
-            for k1, k2, _ in found:
-                along[c1].append(k1)
-                along[c2].append(k2)
+            exact = [segment_intersection_oracle(
+                         c1, annulus.chord(*c2, 0, shift=k))
+                     for k in annulus.crossing_shifts(c1, c2,
+                                                      self_pair=c1 == c2)]
+            assert [(k1, k2, sign * census.ORIENT)
+                    for k1, k2, sign in found] \
+                == [(floor_key(t1), floor_key(t2), sign)
+                    for t1, t2, sign in exact]
+            for (k1, k2, _), (t1, t2, _) in zip(found, exact):
+                along[c1].append((k1, t1))
+                along[c2].append((k2, t2))
         assert max(map(len, along.values())) > 1
         for keys in along.values():
-            for floor, t in keys:
-                assert floor == (t.numerator << 64) // t.denominator
-            assert sorted(keys) == sorted(keys, key=lambda k: k[1])
+            keys.sort()
+            assert all(t == t_next for (k, t), (k_next, t_next)
+                       in zip(keys, keys[1:]) if k == k_next)
 
     def test_pinned_representatives(self, capsys):
         # the canonical-key tests pin the classes; these digests also pin

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from isonorm import census
-from isonorm.maps import (CombinatorialMap, ExactKey, InvalidMap, MapError,
+from isonorm.maps import (CombinatorialMap, InvalidMap, MapError,
                           MapParseError, canonical_form, canonical_key, curves,
                           from_strands, isomorphic, one_faced, parse_map,
                           passages, serialize_map, validate)
@@ -156,19 +156,7 @@ class TestPassages:
         crossings = [((0, Fraction(1, 2)), (1, Fraction(1, 2)), 1)]
         assert passages(crossings, 2) == ([1], [[(0, 0)], [(0, 1)]])
 
-    def test_keys_with_tied_floors_sort_exactly(self):
-        a, b = Fraction(2**70 + 1, 2**70), Fraction(2**70 + 2, 2**70)
-        ka, kb = ExactKey(a), ExactKey(b)
-        assert ka == ((a.numerator << 64) // a.denominator, a)
-        assert ka[0] == kb[0] and ka < kb and not kb < ka
-        # listed b first; path 1 passes the two in the other order
-        crossings = [((0, kb), (1, ExactKey(Fraction(1, 3))), 1),
-                     ((0, ka), (1, ExactKey(Fraction(1, 2))), -1)]
-        assert passages(crossings, 2) == ([-1, 1], [[(0, 0), (1, 0)],
-                                                    [(1, 1), (0, 1)]])
-
-    @pytest.mark.parametrize("key", [Fraction, ExactKey],
-                             ids=["Fraction", "ExactKey"])
+    @pytest.mark.parametrize("key", [Fraction], ids=["Fraction"])
     def test_repeated_parameter_names_the_exact_value(self, key):
         t = Fraction(2**70 + 1, 2**70)
         crossings = [((0, key(t)), (1, key(Fraction(1, 4))), 1),

@@ -210,7 +210,8 @@ class TestReduce:
         assert len(trace) == 3 - len(reduced.faces)
 
     def test_odd_parity_reduces_to_one_face(self):
-        if norm_parity(REDUCIBLE_F3) == "odd":
+        if norm_parity(REDUCIBLE_F3,
+                       homology.homology_basis(REDUCIBLE_F3)) == "odd":
             reduced, _ = reduce_map(REDUCIBLE_F3)
             assert len(reduced.faces) == 1
 
@@ -337,7 +338,8 @@ class TestParity:
         assert len(EVEN_F2.faces) == 2
         assert all(EVEN_F2.face_of[a] != EVEN_F2.face_of[b]
                    for a, b in EVEN_F2.edges)
-        assert norm_parity(EVEN_F2) == "even"
+        assert norm_parity(EVEN_F2, homology.homology_basis(EVEN_F2)) \
+            == "even"
 
     def test_reads_no_class(self, census_builds, monkeypatch):
         # the parity comes from the walk lengths, not from a class vector
@@ -348,11 +350,14 @@ class TestParity:
         monkeypatch.setattr(coorient, "eulco_classes", fail)
         for build in census_builds:
             assert norm_parity(build.map, build.walks) == "odd"
-            assert norm_parity(build.map) == "odd"
-        assert norm_parity(EVEN_F2) == "even"
+            assert norm_parity(build.map,
+                               homology.homology_basis(build.map)) == "odd"
+        assert norm_parity(EVEN_F2, homology.homology_basis(EVEN_F2)) \
+            == "even"
 
     def test_torus_cross_is_odd(self):
-        assert norm_parity(TORUS_CROSS) == "odd"
+        assert norm_parity(TORUS_CROSS,
+                           homology.homology_basis(TORUS_CROSS)) == "odd"
 
     @staticmethod
     def check(m, walks, rng):
@@ -376,9 +381,10 @@ class TestParity:
         parities = set()
         for _ in range(100):
             m = random_valid_map(rng, rng.randint(1, 6))
-            assert norm_parity(m) == parity_oracle(m, None)
-            self.check(m, homology.homology_basis(m).walks, rng)
-            parities.add(norm_parity(m))
+            basis = homology.homology_basis(m)
+            assert norm_parity(m, basis) == parity_oracle(m, basis)
+            self.check(m, basis.walks, rng)
+            parities.add(norm_parity(m, basis))
         assert parities == {"even", "odd"}
 
 

@@ -124,3 +124,24 @@ def test_every_library_definition_has_a_library_caller():
     unreferenced = [qualname for qualname, stmt in defined.items()
                     if not referrers.get(stmt.name, set()) - {qualname}]
     assert [n for n in unreferenced if n not in kept] == []
+
+
+# The library modules that still compute with fractions.Fraction, each for
+# a reason that ROADMAP.md tracks as an open item.
+FRACTION_USERS = {
+    "polytope.py",  # hull and membership LPs in dimension 3 and up
+    "homology.py",  # integer_inverse, a test oracle still in the library
+    "torus.py",     # curve offsets and crossing parameters on the torus
+}
+
+
+def test_only_named_modules_import_fractions():
+    # crossing parameters elsewhere are exact integer keys
+    paths = sorted(Path(maps.__file__).parent.glob("*.py"))
+    assert len(paths) >= 9
+    found = {p.name for p in paths
+             for node in ast.walk(ast.parse(p.read_text(), str(p)))
+             if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+             or isinstance(node, ast.Import)
+             and any(a.name == "fractions" for a in node.names)}
+    assert found == FRACTION_USERS

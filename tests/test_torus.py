@@ -193,6 +193,28 @@ class TestRealizeMap:
         assert m.rotation == (3, 2, 0, 1, 7, 6, 4, 5, 10, 11, 9, 8)
         assert m.pairing == (5, 4, 9, 8, 1, 0, 11, 10, 3, 2, 7, 6)
 
+    @pytest.mark.parametrize("vertices, families", [
+        # 505 copies of (1, 0): over the denominator 1013, copies t and s
+        # with t + s + 4 = 1013 would coincide
+        ([(1, 505), (-1, 505), (-1, -505), (1, -505)],
+         (((0, 1), 1), ((1, 0), 505))),
+        # over the denominators 997 and 1013, the two copies of
+        # (1013, 997) would coincide for every salt
+        ([(1995, -2026), (1993, -2026), (-1995, 2026), (-1993, 2026)],
+         (((0, 1), 1), ((1013, 997), 2))),
+    ], ids=["rectangle", "parallelogram"])
+    def test_parallel_copies_never_coincide(self, vertices, families):
+        c = realize(convex_hull(vertices))
+        assert c.families == families
+        m = realize_map(c)
+        assert validate(m) == []
+        assert m.num_vertices == sum(
+            m1 * m2 * abs(d1[0] * d2[1] - d1[1] * d2[0])
+            for i, (d1, m1) in enumerate(families)
+            for d2, m2 in families[i + 1:])
+        assert m.genus == 1
+        assert len(map_curves(m)) == sum(mult for _, mult in families)
+
     def test_vertex_count_is_sum_of_determinants(self, rng):
         for _ in range(10):
             p = random_symmetric_even_polygon(rng)
