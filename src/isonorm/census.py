@@ -124,6 +124,12 @@ def _label(word):
     return "{" + ", ".join(parts) + "}"
 
 
+def _ports(letter, sign):
+    """The (entry, exit) ports of an arc run with ``sign``: an arc leaves
+    the annulus at '-' and returns at '+' when run along its direction."""
+    return ((letter, "-"), (letter, "+"))[::sign]
+
+
 def _connector_chord(u, v, twist):
     """Chord of the connector from port u to port v with word exponent
     ``twist``."""
@@ -155,8 +161,8 @@ def _chords(curves):
     entry end-point of letter j+1, twisting as many times as the word says.
     """
     _check_word(curves)
-    return [_connector_chord((letter, "+" if sign > 0 else "-"),
-                             (nletter, "-" if nsign > 0 else "+"), twist)
+    return [_connector_chord(_ports(letter, sign)[1],
+                             _ports(nletter, nsign)[0], twist)
             for curve in curves
             for (letter, sign, twist), (nletter, nsign, _)
             in zip(curve, curve[1:] + curve[:1])]
@@ -248,14 +254,13 @@ class _VertexFree(Exception):
     curve's index is ``args[0]``."""
 
 
-def _realize(curves, chords, crossings):
-    """The rotation, pairing and basis walks of a collection, before any
-    map object is built.
+def _realize(word, chords, crossings):
+    """The rotation, pairing and basis walks of a word, before any map
+    object is built.
 
-    ``curves`` lists each curve's (letter, sign, ...) in order and
-    ``chords`` the chord of the connector after each letter, in the same
-    order; ``crossings`` holds one ((i, key1), (j, key2), sign) per
-    crossing of chords i <= j, with the keys and sign of
+    ``chords`` lists the chord of the connector after each letter of the
+    word, in curve order; ``crossings`` holds one ((i, key1), (j, key2),
+    sign) per crossing of chords i <= j, with the keys and sign of
     :func:`_crossings`.  :func:`word_to_map` computes them for every
     chord pair, and :func:`census` takes those its search yields.  Raises
     _VertexFree when some curve has no crossing.
@@ -267,7 +272,7 @@ def _realize(curves, chords, crossings):
     strands = []
     arc_slots = {}  # letter -> (curve, index of next passage, sign)
     conn_passages = iter(conn_passages)  # the chords are in curve order
-    for ci, curve in enumerate(curves):
+    for ci, curve in enumerate(word):
         strand = []
         for letter, sign, _ in curve:
             arc_slots[letter] = (ci, len(strand), sign)
@@ -350,9 +355,6 @@ def has_separating_cycle(m):
 # The census
 # ---------------------------------------------------------------------------
 
-_ALL_PORTS = tuple((letter, end) for letter in LETTERS for end in ("-", "+"))
-
-
 def _perfect_matchings(items):
     """Perfect matchings of a tuple of items as tuples of pairs, the first
     item always paired first."""
@@ -366,135 +368,104 @@ def _perfect_matchings(items):
             yield ((a, items[i]),) + m
 
 
-def _matching_curves(matching):
-    """The curves of a port matching, before any twist is chosen.
+def _three_crossing_words(window):
+    """Words with twists from ``window`` whose connectors cross exactly
+    three times, as (word, chords, crossings): the word's connector chords
+    in curve order and their crossings as :func:`_realize` takes them.
 
-    A curve lists its (letter, sign, (k, o)) in order: after the letter
-    it runs connector k of the matching, from the connector's first port
-    when o = 1 and from its second when o = -1.  A twist t of connector
-    k, measured from its first port, is a word exponent o * t.
-    """
-    link = {}
-    for k, (u, v) in enumerate(matching):
-        link[u] = (v, (k, 1))
-        link[v] = (u, (k, -1))
-    curves = []
-    seen = set()
-    for letter in LETTERS:
-        if letter in seen:
-            continue
-        curve = []
-        cur, sign = letter, 1
-        while True:
-            seen.add(cur)
-            (nl, ne), conn = link[cur, "+" if sign > 0 else "-"]
-            curve.append((cur, sign, conn))
-            cur, sign = nl, (1 if ne == "-" else -1)
-            if cur == letter:
-                # every port has degree two (its arc and its connector),
-                # so the cycle can only close where it started
-                if sign != 1:
-                    raise AssertionError("curve of %s closes reversed"
-                                         % letter)
-                break
-        curves.append(tuple(curve))
-    return tuple(curves)
-
-
-def _word(curves, twists):
-    """The word of a matching's curves (see :func:`_matching_curves`)
-    with one twist per connector, in matching order."""
-    return tuple(tuple((letter, sign, o * twists[k])
-                       for letter, sign, (k, o) in curve)
-                 for curve in curves)
-
-
-def _three_crossing_matchings(window):
-    """Port matchings with twists from ``window`` whose connectors cross
-    exactly three times, as (matching, curves, twists, chords,
-    crossings): the matching's curves (:func:`_matching_curves`), its
-    connectors' chords in curve order, each drawn in its curve's
-    direction, and their crossings as :func:`_realize` takes them.
-
-    One depth-first search per matching places connector k after
-    connectors 0..k-1, trying the twists in window order, and keeps a
-    running total: each new chord adds its self-crossings and its
-    crossings with the chords already placed, and each pair that crosses
-    is recorded.  A prefix is dropped as soon as the total exceeds
-    three.  Per matching the twists come out in the order of
-    ``itertools.product(window, repeat=4)``.  Each connector chord, the
-    shifts of each chord pair met and the crossings of each pair a
-    candidate holds are computed once, in tables that live as long as
+    One depth-first search builds each word connector by connector.  A
+    curve starts at the first unused letter of LETTERS, along its arc's
+    own direction.  Each connector leaves the exit port of the last letter
+    with a word exponent from the window and enters a port of an unused
+    letter, which fixes that letter and its sign, or the entry port of
+    the curve's first arc, which closes the curve.  A running total is
+    kept: each new chord adds its self-crossings and its crossings with
+    the chords already placed, and each pair that crosses is recorded.  A
+    prefix is dropped as soon as the total exceeds three.  Each connector
+    chord, the shifts of each chord pair met and the crossings of each
+    pair a word holds are computed once, in tables that live as long as
     the search.
     """
-    chord_of = {}  # (exit port, entry port, word exponent) -> chord
-    shifts = {}    # (chord, chord) in curve order -> crossing shifts
-    crossed = {}   # (chord, chord) in curve order -> their _crossings
+    options = {}  # (exit port, entry port) -> its choices()
+    shifts = {}   # (chord, chord) in curve order -> crossing shifts
+    crossed = {}  # (chord, chord) in curve order -> their _crossings
 
-    def extend(options, twists, placed, pairs, total):
-        if len(twists) == len(options):
-            if total == 3:
-                yield twists, placed, pairs
-            return
-        pos, choices = options[len(twists)]
-        for t, c, own in choices:
-            more = total + own
-            if more > 3:
-                continue
-            found = pairs + ((pos, pos),) if own else pairs
-            for p, prev in placed:
-                pair = (prev, c) if p < pos else (c, prev)
-                got = shifts.get(pair)
-                if got is None:
-                    # connectors of one matching share no port, so these
-                    # are no self-crossings; most pairs get the shared ()
-                    got = shifts[pair] = tuple(annulus.crossing_shifts(*pair))
-                if got:
-                    more += len(got)
-                    if more > 3:
-                        break
-                    found += ((min(p, pos), max(p, pos)),)
-            else:
-                yield from extend(options, twists + (t,),
-                                  placed + ((pos, c),), found, more)
-
-    for matching in _perfect_matchings(_ALL_PORTS):
-        curves = _matching_curves(matching)
-        # per connector, in matching order: its position in curve order
-        # and its (twist, chord, self-crossings) in window order
-        options = [None] * len(matching)
-        order = [conn for curve in curves for _, _, conn in curve]
-        for pos, (k, o) in enumerate(order):
-            exit_, entry = matching[k][::o]  # the curve's direction
-            choices = []
+    def choices(exit_, entry):
+        # a connector's (exponent, chord, self-crossings), exponents in
+        # window order
+        got = options.get((exit_, entry))
+        if got is None:
+            got = options[exit_, entry] = []
             for t in window:
-                key = exit_, entry, o * t
-                c = chord_of.get(key)
-                if c is None:
-                    c = chord_of[key] = _connector_chord(*key)
-                    shifts[c, c] = annulus.crossing_shifts(c, c,
-                                                           self_pair=True)
-                choices.append((t, c, len(shifts[c, c])))
-            options[k] = (pos, choices)
-        for twists, placed, pairs in extend(options, (), (), (), 0):
-            chords = tuple(c for _, c in sorted(placed))
-            crossings = []
-            for i, j in pairs:
-                pair = chords[i], chords[j]
-                got = crossed.get(pair)
-                if got is None:
-                    got = crossed[pair] = _crossings(*pair, shifts[pair])
-                crossings += [((i, k1), (j, k2), sign) for k1, k2, sign in got]
-            yield matching, curves, twists, chords, crossings
+                c = _connector_chord(exit_, entry, t)
+                shifts[c, c] = annulus.crossing_shifts(c, c, self_pair=True)
+                got.append((t, c, len(shifts[c, c])))
+        return got
+
+    def extend(word, curve, letter, sign, rest, placed, pairs, total):
+        # the open curve runs the letters of ``curve``, then ``letter``
+        # with ``sign``; ``rest`` holds the unused letters.  The next
+        # connector enters an unused letter either way round, or closes
+        # the curve at its first arc's entry port.
+        exit_ = _ports(letter, sign)[1]
+        first = curve[0][0] if curve else letter
+        pos = len(placed)
+        targets = [(nl, ns) for nl in rest for ns in (1, -1)] + [(first, 1)]
+        for nl, ns in targets:
+            for t, c, own in choices(exit_, _ports(nl, ns)[0]):
+                more = total + own
+                if more > 3:
+                    continue
+                found = pairs + ((pos, pos),) if own else pairs
+                for p, prev in enumerate(placed):
+                    got = shifts.get((prev, c))
+                    if got is None:
+                        # connectors of one word share no port, so these
+                        # are no self-crossings; most pairs get the shared ()
+                        got = shifts[prev, c] = tuple(
+                            annulus.crossing_shifts(prev, c))
+                    if got:
+                        more += len(got)
+                        if more > 3:
+                            break
+                        found += ((p, pos),)
+                else:
+                    done = curve + ((letter, sign, t),)
+                    if nl != first:
+                        yield from extend(word, done, nl, ns,
+                                          tuple(x for x in rest if x != nl),
+                                          placed + (c,), found, more)
+                    elif rest:
+                        yield from extend(word + (done,), (), rest[0], 1,
+                                          rest[1:], placed + (c,), found, more)
+                    elif more == 3:
+                        yield word + (done,), placed + (c,), found
+
+    for word, chords, pairs in extend((), (), LETTERS[0], 1, LETTERS[1:],
+                                      (), (), 0):
+        crossings = []
+        for i, j in pairs:
+            pair = chords[i], chords[j]
+            got = crossed.get(pair)
+            if got is None:
+                got = crossed[pair] = _crossings(*pair, shifts[pair])
+            crossings += [((i, k1), (j, k2), sign) for k1, k2, sign in got]
+        yield word, chords, crossings
+
+
+# The largest twist bound census() accepts: the search's shift table grows
+# about quadratically with the bound, so a large bound exhausts memory.
+MAX_TWIST_BOUND = 16
 
 
 def census(twist_bound=2):
-    """One-faced collections with all twists in [-bound, bound].
+    """One-faced collections with all twists in [-bound, bound], for a
+    bound from 2 to MAX_TWIST_BOUND.
 
-    Searches the port matchings with twists in the window for the words
-    with exactly three crossings and realizes each from the chords and
-    crossings the search found (:func:`_realize`, which
-    :func:`word_to_map` shares).  Only a one-faced candidate gets its
+    Searches the words with twists in the window for those with exactly
+    three crossings (:func:`_three_crossing_words`) and realizes each
+    from the chords and crossings the search found (:func:`_realize`,
+    which :func:`word_to_map` shares).  Only a one-faced candidate gets its
     canonical word and label, and each distinct (rotation, pairing)
     becomes one validated map with one canonical key.  The maps are
     deduplicated up to isomorphism with reflection; a class is won by
@@ -511,13 +482,14 @@ def census(twist_bound=2):
     """
     if twist_bound < 2:
         raise ValueError("twist_bound must be at least 2")
+    if twist_bound > MAX_TWIST_BOUND:
+        raise ValueError("twist_bound must be at most %d" % MAX_TWIST_BOUND)
     window = range(-twist_bound, twist_bound + 1)
     found = {}
     keyed = {}  # (rotation, pairing) -> (map, canonical key)
-    for _, curves, twists, chords, crossings in \
-            _three_crossing_matchings(window):
+    for word, chords, crossings in _three_crossing_words(window):
         try:
-            rotation, pairing, walks = _realize(curves, chords, crossings)
+            rotation, pairing, walks = _realize(word, chords, crossings)
         except _VertexFree:
             continue
         if not one_faced(rotation, pairing):
@@ -527,7 +499,7 @@ def census(twist_bound=2):
             key = canonical_key(m, allow_reflection=True)
             keyed[rotation, pairing] = m, key
         m, key = keyed[rotation, pairing]
-        word = canonical_word(_word(curves, twists))
+        word = canonical_word(word)
         # prefer walks on four distinct edges: they form a genuine basis
         rank = (len({m.edge_index(h) for h, in walks}) < 4, _label(word))
         prev = found.get(key)

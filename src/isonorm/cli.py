@@ -103,7 +103,7 @@ def _load_walks(path, m, edges):
 
 
 def _basis(args, m, edges):
-    if getattr(args, "walks", None):
+    if args.walks:
         return _load_walks(args.walks, m, edges)
     return homology.homology_basis(m).walks
 

@@ -139,14 +139,46 @@ class TestWordToMap:
                          (("a2", 1, 0), ("b2", -1, 0))))
 
 
+# every (letter, end) port of the four arcs, as census.PORTS keys them
+ALL_PORTS = tuple((letter, end)
+                  for letter in census.LETTERS for end in ("-", "+"))
+
+
+def matching_word(matching, twists):
+    """The word of a port matching with one twist per connector, each
+    measured from the connector's first port: a curve starts at the
+    first unused letter, run along its arc, and follows the connectors
+    until it returns to that arc's '-' end."""
+    link = {}
+    for (u, v), t in zip(matching, twists):
+        link[u] = (v, t)
+        link[v] = (u, -t)
+    word = []
+    seen = set()
+    for start in census.LETTERS:
+        if start in seen:
+            continue
+        curve = []
+        letter, sign = start, 1
+        while letter not in seen:
+            seen.add(letter)
+            (letter_next, end), t = link[letter, "+" if sign > 0 else "-"]
+            curve.append((letter, sign, t))
+            letter, sign = letter_next, (1 if end == "-" else -1)
+        if (letter, sign) != (start, 1):
+            raise AssertionError("curve of %s does not close" % start)
+        word.append(tuple(curve))
+    return tuple(word)
+
+
 def product_oracle(twist_bound):
-    """(matching, twists) with exactly three crossings, found by testing
-    every twist tuple of the window on every port matching."""
+    """The words with exactly three crossings, found by testing every
+    twist tuple of the window on every port matching."""
     window = range(-twist_bound, twist_bound + 1)
     pair_cache = {}
     self_cache = {}
     out = []
-    for matching in census._perfect_matchings(census._ALL_PORTS):
+    for matching in census._perfect_matchings(ALL_PORTS):
         ports = [(census.PORTS[u], census.PORTS[v]) for u, v in matching]
         bases = [census._base(u, v) for u, v in matching]
         for twists in product(window, repeat=4):
@@ -171,7 +203,7 @@ def product_oracle(twist_bound):
                                           twists[j] + bases[j]))
                     total += pair_cache[key]
             if total == 3:
-                out.append((matching, twists))
+                out.append(matching_word(matching, twists))
     return out
 
 
@@ -233,11 +265,10 @@ def one_faced_candidates(twist_bound):
     """(map, canonical key, walks, canonical word) of every one-faced
     candidate of the census search at a twist bound, in search order."""
     keys = {}
-    for _, curves, twists, chords, crossings in \
-            census._three_crossing_matchings(
-                range(-twist_bound, twist_bound + 1)):
+    for word, chords, crossings in census._three_crossing_words(
+            range(-twist_bound, twist_bound + 1)):
         try:
-            rotation, pairing, walks = census._realize(curves, chords,
+            rotation, pairing, walks = census._realize(word, chords,
                                                        crossings)
         except census._VertexFree:
             continue
@@ -246,7 +277,7 @@ def one_faced_candidates(twist_bound):
         m = CombinatorialMap(rotation, pairing)
         if m not in keys:
             keys[m] = canonical_key(m, allow_reflection=True)
-        yield m, keys[m], walks, canonical_word(census._word(curves, twists))
+        yield m, keys[m], walks, canonical_word(word)
 
 
 def on_distinct_edges(m, walks):
@@ -266,11 +297,12 @@ def _realize(build, word):
 class TestCensus:
     @pytest.mark.parametrize("bound, count", [(2, 2581), (3, 3957)])
     def test_search_matches_product_oracle(self, bound, count):
+        # the same words, each found once; the order of the search does
+        # not matter (see test_each_class_has_one_best_candidate)
         window = range(-bound, bound + 1)
-        found = [(matching, twists) for matching, _, twists, _, _
-                 in census._three_crossing_matchings(window)]
-        assert len(found) == count
-        assert found == product_oracle(bound)
+        found = [word for word, _, _ in census._three_crossing_words(window)]
+        assert len(found) == len(set(found)) == count
+        assert sorted(found) == sorted(product_oracle(bound))
 
     def test_word_to_map_matches_uncached_oracle(self):
         def built(word):
@@ -278,9 +310,7 @@ class TestCensus:
             return b.map.rotation, b.map.pairing, b.walks, b.word
 
         outcomes = Counter()
-        for _, curves, twists, _, _ in census._three_crossing_matchings(
-                range(-2, 3)):
-            word = census._word(curves, twists)
+        for word, _, _ in census._three_crossing_words(range(-2, 3)):
             got = _realize(built, word)
             assert got == _realize(word_to_map_oracle, word), word
             outcomes[isinstance(got[0], type)] += 1
@@ -322,9 +352,8 @@ class TestCensus:
             formed[m.rotation, m.pairing, tuple(basis)] += 1
             return real_form(m, basis)
 
-        def realize(curves, chords, crossings):
-            rotation, pairing, walks = real_realize(curves, chords,
-                                                    crossings)
+        def realize(word, chords, crossings):
+            rotation, pairing, walks = real_realize(word, chords, crossings)
             realized.add((rotation, pairing))
             return rotation, pairing, walks
 
@@ -414,19 +443,18 @@ class TestCensus:
         # raw one-face test, and built as a map a candidate has one face
         # exactly when the test passes
         outcomes = Counter()
-        for _, curves, twists, chords, crossings in \
-                census._three_crossing_matchings(range(-bound, bound + 1)):
-            word = census._word(curves, twists)
+        for word, chords, crossings in census._three_crossing_words(
+                range(-bound, bound + 1)):
             expected = _realize(word_to_map_oracle, word)
             if expected[0] is WordError:
                 with pytest.raises(census._VertexFree):
-                    census._realize(curves, chords, crossings)
+                    census._realize(word, chords, crossings)
                 with pytest.raises(WordError) as exc:
                     word_to_map(word)
                 assert str(exc.value) == expected[1]
                 outcomes["word error"] += 1
                 continue
-            rotation, pairing, walks = census._realize(curves, chords,
+            rotation, pairing, walks = census._realize(word, chords,
                                                        crossings)
             try:
                 m = CombinatorialMap(rotation, pairing)
@@ -447,8 +475,8 @@ class TestCensus:
         # integer floors of the oracle's exact parameters, and along each
         # chord the keys sort as the parameters do
         pairs = {}  # (chord, chord) -> their crossings
-        for _, _, _, chords, crossings in \
-                census._three_crossing_matchings(range(-3, 4)):
+        for _, chords, crossings in census._three_crossing_words(
+                range(-3, 4)):
             met = defaultdict(list)
             for (i, k1), (j, k2), sign in crossings:
                 met[chords[i], chords[j]].append((k1, k2, sign))
@@ -519,8 +547,11 @@ class TestCensus:
                 for b in census_reps]
 
     def test_small_window_rejected(self):
-        with pytest.raises(ValueError):
-            run_census(twist_bound=1)
+        # below 2 the window misses classes; above MAX_TWIST_BOUND the
+        # search's tables grow about quadratically with the bound
+        for bound in (1, census.MAX_TWIST_BOUND + 1):
+            with pytest.raises(ValueError):
+                run_census(twist_bound=bound)
 
     def test_curve_counts(self, census_reps):
         assert [len(map_curves(b.map)) for b in census_reps] == [3, 2, 2, 1]

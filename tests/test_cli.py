@@ -436,6 +436,14 @@ class TestCensusCommands:
         assert (code, out) == (1, "")
         assert err == "error: twist_bound must be at least 2\n"
 
+    @pytest.mark.parametrize("command", ["census", "verify-theorem"])
+    def test_large_twist_bound_exits_one(self, capsys, command):
+        # refused before the search, whose time and memory grow with
+        # the bound
+        code, out, err = run(capsys, command, "--twist-bound", "17")
+        assert (code, out) == (1, "")
+        assert err == "error: twist_bound must be at most 16\n"
+
     def test_verify_theorem_passes(self, capsys):
         code, out, _ = run(capsys, "verify-theorem")
         assert code == 0
