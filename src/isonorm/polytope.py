@@ -5,6 +5,10 @@ canonical equality).  All hull decisions are exact.  In the plane the hull
 is an integer monotone chain (Andrew 1979).  In dimension d >= 3 a point is
 a vertex iff it is not a convex combination of the other points, decided by
 a phase-1 simplex over Fractions, the module's only Fraction arithmetic.
+Dual unit balls are centrally symmetric (||-a|| = ||a||), and in a
+symmetric set -p is a vertex exactly when p is: negating a convex
+combination of the points gives one of their negatives, which are points
+of the set too.  So a symmetric set gets one LP per +-p pair.
 The dimension of a polytope is the rank of its vertices' differences from
 one vertex, read from :func:`isonorm.homology.smith_normal_form`.
 Intended scale: dimension at most 8 and a few hundred points.
@@ -123,16 +127,28 @@ def in_convex_hull(point, points):
 
 
 def convex_hull(points):
-    """Minimal vertex set of the convex hull of integer points."""
-    pts = LatticePolytope(points).vertices  # sorted, distinct, one dimension
+    """Minimal vertex set of the convex hull of integer points.
+
+    In dimension d >= 3 each point gets one LP, except in a centrally
+    symmetric set: there p = sum(l_i * q_i) gives -p = sum(l_i * -q_i)
+    with every -q_i in the set, so p and -p are vertices together and only
+    the first point of each +-p pair is decided.  The origin, its own
+    negative, is decided as any other point.
+    """
+    poly = LatticePolytope(points)
+    pts = poly.vertices  # sorted, distinct, one dimension
     if len(pts[0]) == 2:
         return LatticePolytope(_monotone_chain(pts))
-    verts = []
+    symmetric = is_symmetric(poly)
+    is_vertex = []
     for i, p in enumerate(pts):
+        mirror = len(pts) - 1 - i  # negation reverses the sorted order
+        if symmetric and mirror < i:
+            is_vertex.append(is_vertex[mirror])
+            continue
         others = pts[:i] + pts[i + 1:]
-        if not others or not in_convex_hull(p, others):
-            verts.append(p)
-    return LatticePolytope(verts)
+        is_vertex.append(not others or not in_convex_hull(p, others))
+    return LatticePolytope(p for p, v in zip(pts, is_vertex) if v)
 
 
 def _monotone_chain(pts):

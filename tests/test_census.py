@@ -390,6 +390,22 @@ class TestCensus:
         assert len(run_census(2)) == 4
         assert (dict(shift_args), dict(hits)) == first
 
+    def test_theorem_check_makes_one_lp_per_pair(self, monkeypatch):
+        # the four balls and the intro polytope are symmetric, so each
+        # hull decides one point of every +-p pair: 24 LPs for the balls'
+        # 48 points (16, 12, 10 and 10, all vertices) and 4 for the intro
+        # polytope's 8, where one LP per point would make 56
+        real = polytope.in_convex_hull
+        calls = []
+
+        def in_convex_hull(point, points):
+            calls.append(point)
+            return real(point, points)
+
+        monkeypatch.setattr(polytope, "in_convex_hull", in_convex_hull)
+        assert verify_main_theorem(2)["pass"]
+        assert len(calls) == 28
+
     @pytest.mark.parametrize("bound, counts", [(2, (712, 709)),
                                                (3, (1038, 1032))])
     def test_edge_rule_matches_intersection_form(self, bound, counts):

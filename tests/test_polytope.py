@@ -12,6 +12,8 @@ from _helpers import (BALL4, FIXTURES, INTRO_VECTORS,
                       hull_member_caratheodory, hull_vertices_oracle, pm,
                       rank_fraction)
 
+CUBE4 = pm([(1, a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)])
+
 
 class TestConvexHull:
     def test_interior_point_discarded(self):
@@ -23,9 +25,7 @@ class TestConvexHull:
         assert set(p.vertices) == BALL4
 
     def test_sixteen_sign_vectors_make_the_cube(self):
-        cube = pm([(1, a, b, c) for a in (-1, 1) for b in (-1, 1)
-                   for c in (-1, 1)])
-        p = convex_hull(cube)
+        p = convex_hull(CUBE4)
         assert len(p.vertices) == 16
         assert support(p, (1, 1, 1, 1)) == 4
 
@@ -41,6 +41,39 @@ class TestConvexHull:
             pts = {tuple(rng.randint(-3, 3) for _ in range(4))
                    for _ in range(7)}
             assert convex_hull(pts).vertices == hull_vertices_oracle(pts)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_symmetric_sets_agree_with_caratheodory_oracle(self, rng, dim):
+        # a symmetric set decides one point of each +-p pair by LP
+        for _ in range(10):
+            half = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                    for _ in range(rng.randint(1, 5))]
+            pts = half + [tuple(-x for x in p) for p in half]
+            if rng.random() < 0.5:
+                pts.append((0,) * dim)
+            pts += [rng.choice(pts) for _ in range(rng.randint(0, 2))]
+            assert is_symmetric(LatticePolytope(pts))
+            assert convex_hull(pts).vertices == hull_vertices_oracle(pts)
+
+    @pytest.mark.parametrize("pts, lps", [
+        (BALL4, 5), (CUBE4, 8),
+        # one more point breaks the symmetry: one LP per point again
+        (CUBE4 | {(2, 0, 0, 0)}, 17),
+    ], ids=["ball4", "cube", "cube-plus-point"])
+    def test_one_lp_per_pair_of_a_symmetric_set(self, monkeypatch, pts,
+                                                 lps):
+        calls = []
+        real = polytope.in_convex_hull
+
+        def counted(point, points):
+            calls.append(point)
+            return real(point, points)
+
+        monkeypatch.setattr(polytope, "in_convex_hull", counted)
+        # every point is a vertex: a sign vector v is the only point with
+        # <v, x> = 4, and (2, 0, 0, 0) the only one with x1 = 2
+        assert convex_hull(pts).vertices == tuple(sorted(pts))
+        assert len(calls) == lps == len(set(calls))
 
     def test_membership_matches_oracle(self, rng):
         for _ in range(40):
