@@ -368,6 +368,41 @@ def _perfect_matchings(items):
             yield ((a, items[i]),) + m
 
 
+def _arc_class(c):
+    """A chord up to translation and orientation, as (shape, turns).
+
+    The chord's ends are put in boundary order and translated so that the
+    first lies in [0, SCALE).  A chord with both ends on one side keeps
+    that whole normalised lift as its shape, and its turns are None.  A
+    chord across the annulus keeps only its two ports, as the heights of
+    its left and right ends modulo SCALE, and its turns: how many times
+    its right end lies a full turn above its left end.
+    """
+    (s0, h0), (s1, h1) = sorted(c)
+    h1 -= h0 // annulus.SCALE * annulus.SCALE
+    h0 %= annulus.SCALE
+    if s0 == s1:
+        return (s0, h0, h1), None
+    return (h0, h1 % annulus.SCALE), h1 // annulus.SCALE
+
+
+def _pair_class(k1, k2):
+    """The key of an ordered pair of chords with four distinct ports, from
+    their :func:`_arc_class` values; pairs with one key cross equally often.
+
+    A crossing number in the annulus does not change when either arc is
+    translated or reversed, nor under the Dehn twist about the core, which
+    adds one turn to every chord across.  So two chords across count by
+    their ports and the difference of their turns.  When a chord has both
+    ends on one side, the twist moves it by a translation at most, so a
+    chord across beside it counts by its ports alone.
+    """
+    (a, s), (b, t) = k1, k2
+    if s is None or t is None:
+        return a, b
+    return a, b, s - t
+
+
 def _three_crossing_words(window):
     """Words with twists from ``window`` whose connectors cross exactly
     three times, as (word, chords, crossings): the word's connector chords
@@ -381,51 +416,65 @@ def _three_crossing_words(window):
     the curve's first arc, which closes the curve.  A running total is
     kept: each new chord adds its self-crossings and its crossings with
     the chords already placed, and each pair that crosses is recorded.  A
-    prefix is dropped as soon as the total exceeds three.  Each connector
-    chord, the shifts of each chord pair met and the crossings of each
-    pair a word holds are computed once, in tables that live as long as
-    the search.
+    prefix is dropped as soon as the total exceeds three.
+
+    Each connector chord and its self-crossings are computed once.  The
+    crossing count of a chord pair is computed once per :func:`_pair_class`
+    key, from the first pair met with that key, so the count table grows
+    about linearly with the window, not with the square of it.  Shift lists
+    are kept only for self-pairs and for the first pair of each key that
+    crosses, until a yielded word holds that pair; any other pair a yielded
+    word holds gets its shifts, and each pair its crossings, once.  The
+    tables last one call, and are freed when the search ends or is closed.
     """
     options = {}  # (exit port, entry port) -> its choices()
-    shifts = {}   # (chord, chord) in curve order -> crossing shifts
+    counts = {}   # _pair_class key -> crossing count of its chord pairs
+    kept = {}     # (chord, chord) in curve order -> crossing shifts
     crossed = {}  # (chord, chord) in curve order -> their _crossings
 
     def choices(exit_, entry):
-        # a connector's (exponent, chord, self-crossings), exponents in
-        # window order
+        # a connector's (exponent, chord, arc class, self-crossings),
+        # exponents in window order
         got = options.get((exit_, entry))
         if got is None:
             got = options[exit_, entry] = []
             for t in window:
                 c = _connector_chord(exit_, entry, t)
-                shifts[c, c] = annulus.crossing_shifts(c, c, self_pair=True)
-                got.append((t, c, len(shifts[c, c])))
+                own = annulus.crossing_shifts(c, c, self_pair=True)
+                if own:
+                    kept[c, c] = own
+                got.append((t, c, _arc_class(c), len(own)))
         return got
 
-    def extend(word, curve, letter, sign, rest, placed, pairs, total):
+    def extend(word, curve, letter, sign, rest, placed, classes, pairs,
+               total):
         # the open curve runs the letters of ``curve``, then ``letter``
-        # with ``sign``; ``rest`` holds the unused letters.  The next
-        # connector enters an unused letter either way round, or closes
-        # the curve at its first arc's entry port.
+        # with ``sign``; ``rest`` holds the unused letters, and ``classes``
+        # the arc class of each chord in ``placed``.  The next connector
+        # enters an unused letter either way round, or closes the curve at
+        # its first arc's entry port.
         exit_ = _ports(letter, sign)[1]
         first = curve[0][0] if curve else letter
         pos = len(placed)
         targets = [(nl, ns) for nl in rest for ns in (1, -1)] + [(first, 1)]
         for nl, ns in targets:
-            for t, c, own in choices(exit_, _ports(nl, ns)[0]):
+            for t, c, arc, own in choices(exit_, _ports(nl, ns)[0]):
                 more = total + own
                 if more > 3:
                     continue
                 found = pairs + ((pos, pos),) if own else pairs
-                for p, prev in enumerate(placed):
-                    got = shifts.get((prev, c))
-                    if got is None:
+                for p, prev in enumerate(classes):
+                    key = _pair_class(prev, arc)
+                    n = counts.get(key)
+                    if n is None:
                         # connectors of one word share no port, so these
-                        # are no self-crossings; most pairs get the shared ()
-                        got = shifts[prev, c] = tuple(
-                            annulus.crossing_shifts(prev, c))
-                    if got:
-                        more += len(got)
+                        # are no self-crossings
+                        got = annulus.crossing_shifts(placed[p], c)
+                        n = counts[key] = len(got)
+                        if got:
+                            kept[placed[p], c] = got
+                    if n:
+                        more += n
                         if more > 3:
                             break
                         found += ((p, pos),)
@@ -434,27 +483,39 @@ def _three_crossing_words(window):
                     if nl != first:
                         yield from extend(word, done, nl, ns,
                                           tuple(x for x in rest if x != nl),
-                                          placed + (c,), found, more)
+                                          placed + (c,), classes + (arc,),
+                                          found, more)
                     elif rest:
                         yield from extend(word + (done,), (), rest[0], 1,
-                                          rest[1:], placed + (c,), found, more)
+                                          rest[1:], placed + (c,),
+                                          classes + (arc,), found, more)
                     elif more == 3:
                         yield word + (done,), placed + (c,), found
 
-    for word, chords, pairs in extend((), (), LETTERS[0], 1, LETTERS[1:],
-                                      (), (), 0):
-        crossings = []
-        for i, j in pairs:
-            pair = chords[i], chords[j]
-            got = crossed.get(pair)
-            if got is None:
-                got = crossed[pair] = _crossings(*pair, shifts[pair])
-            crossings += [((i, k1), (j, k2), sign) for k1, k2, sign in got]
-        yield word, chords, crossings
+    try:
+        for word, chords, pairs in extend((), (), LETTERS[0], 1, LETTERS[1:],
+                                          (), (), (), 0):
+            crossings = []
+            for i, j in pairs:
+                pair = chords[i], chords[j]
+                got = crossed.get(pair)
+                if got is None:
+                    shifts = kept.pop(pair, None)
+                    if shifts is None:
+                        shifts = annulus.crossing_shifts(
+                            *pair, self_pair=(i == j))
+                    got = crossed[pair] = _crossings(*pair, shifts)
+                crossings += [((i, k1), (j, k2), sign)
+                              for k1, k2, sign in got]
+            yield word, chords, crossings
+    finally:
+        # extend refers to itself: drop it, so that its closure and the
+        # tables go now and not at the next cyclic collection
+        del extend
 
 
-# The largest twist bound census() accepts: the search's shift table grows
-# about quadratically with the bound, so a large bound exhausts memory.
+# The largest twist bound census() accepts.  The search's memory grows only
+# about linearly with the bound; its time is what the limit bounds.
 MAX_TWIST_BOUND = 16
 
 
@@ -472,10 +533,11 @@ def census(twist_bound=2):
     the candidate whose walks lie on four distinct edges (the edge rule
     of :meth:`Genus2Build.standard_basis`, held against the form by a
     test), then by label, and only the winner becomes a Genus2Build.
-    The search's chord, shift and crossing tables are dropped when the
-    call returns.  Returns a list of Genus2Build representatives sorted
-    by curve count (descending), each certified by its genus,
-    separating-cycle and basis checks.
+    The search's chord, count and crossing tables, which grow about
+    linearly with the bound, are freed when the call returns.  Returns a
+    list of Genus2Build representatives sorted by curve count
+    (descending), each certified by its genus, separating-cycle and basis
+    checks.
     These are the one-faced classes the word model reaches, not all of
     them: :func:`exhaustive_unicellular_maps` lists six classes, and the
     census finds four.

@@ -44,9 +44,13 @@ def _load_map(path):
         raise DomainFailure("%s: invalid map: %s" % (path, exc))
 
 
-def _load_polytope(path):
+def _load_polytope(path, hull=True):
+    """The hull of a polytope file's points, or with ``hull`` false a
+    LatticePolytope of the points as they are."""
     try:
-        return polytope.parse_polytope(_read(path))
+        if hull:
+            return polytope.parse_polytope(_read(path))
+        return polytope.LatticePolytope(polytope.parse_points(_read(path)))
     except ValueError as exc:
         raise ParseFailure("%s: %s" % (path, exc))
 
@@ -294,9 +298,10 @@ def _cmd_verify_theorem(args):
 
 
 def _cmd_check_p8(args):
-    p = _load_polytope(args.polytope)
+    # decided on the raw points, so that no input pays for a large hull
+    points = _load_polytope(args.polytope, hull=False)
     try:
-        member = polytope.is_p8(p)
+        member = polytope.hull_is_p8(points)
     except polytope.DimensionError as exc:
         raise DomainFailure(str(exc))
     text = "member of P8\n" if member else "not a member of P8\n"

@@ -222,6 +222,23 @@ def is_p8(p):
             and p.dim == 4)
 
 
+def hull_is_p8(points):
+    """:func:`is_p8` of the convex hull of a LatticePolytope of raw points,
+    decided on the points first.
+
+    P8 lies in the cube [-1, 1]^4 and a hull holds every point it is
+    built from, so a coordinate outside {-1, 0, 1} rules membership out
+    with no LP, and at most 3^4 = 81 distinct points reach
+    :func:`convex_hull`.  Outside Z^4 it raises DimensionError before any
+    hull.
+    """
+    if points.ambient_dim != 4:
+        return is_p8(points)  # raises DimensionError
+    if any(abs(x) > 1 for v in points.vertices for x in v):
+        return False
+    return is_p8(convex_hull(points.vertices))
+
+
 # ---------------------------------------------------------------------------
 # Text format: one integer vector per line, '#' comments
 # ---------------------------------------------------------------------------
@@ -236,6 +253,11 @@ def serialize_polytope(p, comment=None):
 
 
 def parse_polytope(text):
+    return convex_hull(parse_points(text))
+
+
+def parse_points(text):
+    """The points of a polytope file, as a list of integer tuples."""
     points = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -247,4 +269,4 @@ def parse_polytope(text):
             raise ValueError("line %d: bad vector %r" % (lineno, line))
     if not points:
         raise ValueError("polytope file contains no points")
-    return convex_hull(points)
+    return points

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import re
 from collections import Counter, defaultdict
@@ -390,6 +391,40 @@ class TestCensus:
         assert len(run_census(2)) == 4
         assert (dict(shift_args), dict(hits)) == first
 
+    def test_search_tables_freed_on_return(self):
+        # the search's recursion refers to itself; its tables must go by
+        # reference counting when the search ends or is closed, not wait
+        # for the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(run_census(2)) == 4
+            assert gc.collect() < 100
+            search = census._three_crossing_words(range(-2, 3))
+            next(search)
+            search.close()
+            del search
+            assert gc.collect() < 100
+        finally:
+            gc.enable()
+
+    def test_crossing_shift_calls_grow_slowly(self, monkeypatch):
+        # the counts are keyed by pair class, whose number grows about
+        # linearly with the twist bound: doubling the bound at most
+        # doubles the crossing_shifts calls (a count of chord pairs would
+        # grow 2.49 times from bound 4 to bound 8)
+        real = annulus.crossing_shifts
+        calls = Counter()
+
+        def crossing_shifts(c1, c2, self_pair=False):
+            calls[bound] += 1
+            return real(c1, c2, self_pair=self_pair)
+
+        monkeypatch.setattr(annulus, "crossing_shifts", crossing_shifts)
+        for bound in (4, 8):
+            assert len(run_census(bound)) == 4
+        assert 0 < calls[8] <= 2 * calls[4]
+
     def test_theorem_check_makes_one_lp_per_pair(self, monkeypatch):
         # the four balls and the intro polytope are symmetric, so each
         # hull decides one point of every +-p pair: 24 LPs for the balls'
@@ -564,13 +599,45 @@ class TestCensus:
 
     def test_small_window_rejected(self):
         # below 2 the window misses classes; above MAX_TWIST_BOUND the
-        # search's tables grow about quadratically with the bound
+        # search only takes longer, for the same classes
         for bound in (1, census.MAX_TWIST_BOUND + 1):
             with pytest.raises(ValueError):
                 run_census(twist_bound=bound)
 
     def test_curve_counts(self, census_reps):
         assert [len(map_curves(b.map)) for b in census_reps] == [3, 2, 2, 1]
+
+
+class TestPairClass:
+    def test_equal_keys_give_equal_counts(self):
+        # every ordered pair of connector chords with four distinct ports
+        # and twists in [-3, 3], built from the ports alone: pairs with one
+        # key have one crossing count, and far fewer keys than pairs
+        chords = [(u, v, annulus.chord(census.PORTS[u], census.PORTS[v], t))
+                  for u in ALL_PORTS for v in ALL_PORTS if u != v
+                  for t in range(-3, 4)]
+        arcs = [census._arc_class(c) for _, _, c in chords]
+        counts = defaultdict(set)  # key -> crossing counts of its pairs
+        pairs = 0
+        for (u1, v1, c1), k1 in zip(chords, arcs):
+            for (u2, v2, c2), k2 in zip(chords, arcs):
+                if {u1, v1} & {u2, v2}:
+                    continue
+                key = census._pair_class(k1, k2)
+                counts[key].add(len(annulus.crossing_shifts(c1, c2)))
+                pairs += 1
+        assert pairs == 56 * 30 * 7 * 7
+        assert max(map(len, counts.values())) == 1
+        assert len(counts) < pairs // 10
+        assert len({n for ns in counts.values() for n in ns}) > 3
+
+    def test_key_ignores_translation_and_reversal(self):
+        u, v = census.PORTS["a1", "+"], census.PORTS["a2", "-"]
+        c = annulus.chord(u, v, 2)
+        moved = annulus.chord(u, v, 2, shift=-5)
+        assert census._arc_class(c) == census._arc_class(moved[::-1])
+        assert census._arc_class(c) != census._arc_class(
+            annulus.chord(u, v, 3))
 
 
 class TestExhaustiveMaps:

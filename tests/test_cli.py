@@ -438,8 +438,8 @@ class TestCensusCommands:
 
     @pytest.mark.parametrize("command", ["census", "verify-theorem"])
     def test_large_twist_bound_exits_one(self, capsys, command):
-        # refused before the search, whose time and memory grow with
-        # the bound
+        # refused before the search, whose time grows with the bound
+        # (its memory only about linearly)
         code, out, err = run(capsys, command, "--twist-bound", "17")
         assert (code, out) == (1, "")
         assert err == "error: twist_bound must be at most 16\n"
@@ -467,6 +467,48 @@ class TestCheckP8:
         poly.write_text("1 1\n-1 -1\n")
         code, _, _ = run(capsys, "check-p8", str(poly))
         assert code == 1
+
+    @pytest.fixture
+    def lps(self, monkeypatch):
+        # the points of every hull LP check-p8 makes
+        real = polytope.in_convex_hull
+        calls = []
+
+        def in_convex_hull(point, points):
+            calls.append(point)
+            return real(point, points)
+
+        monkeypatch.setattr(polytope, "in_convex_hull", in_convex_hull)
+        return calls
+
+    @staticmethod
+    def write_points(path, rng, lo, hi, dim=4, n=400):
+        path.write_text("".join(
+            " ".join(str(rng.randint(lo, hi)) for _ in range(dim)) + "\n"
+            for _ in range(n)))
+        return str(path)
+
+    def test_points_outside_the_cube_make_no_lp(self, capsys, tmp_path,
+                                                rng, lps):
+        # P8 lies in [-1, 1]^4, so 400 points in [-50, 50]^4 are decided
+        # without a hull, which took over a minute at one LP per point
+        poly = self.write_points(tmp_path / "wide.poly", rng, -50, 50)
+        code, out, _ = run(capsys, "check-p8", poly)
+        assert (code, out, len(lps)) == (0, "not a member of P8\n", 0)
+
+    def test_cube_points_make_at_most_81_lps(self, capsys, tmp_path, rng,
+                                             lps):
+        # 400 points in {-1, 0, 1}^4 are at most 81 distinct ones
+        poly = self.write_points(tmp_path / "cube.poly", rng, -1, 1)
+        code, out, _ = run(capsys, "check-p8", poly)
+        assert (code, out) == (0, "not a member of P8\n")
+        assert 0 < len(lps) <= 81
+
+    def test_wrong_dimension_makes_no_lp(self, capsys, tmp_path, rng, lps):
+        poly = self.write_points(tmp_path / "z5.poly", rng, -1, 1, dim=5)
+        code, out, err = run(capsys, "check-p8", poly)
+        assert (code, out, len(lps)) == (1, "", 0)
+        assert err == "error: the eight-vertex cube test lives in Z^4\n"
 
     def test_mixed_dimensions_exit_two(self, capsys, tmp_path):
         poly = tmp_path / "mixed.poly"
