@@ -136,22 +136,35 @@ def _connector_chord(u, v, twist):
     return annulus.chord(PORTS[u], PORTS[v], twist + _base(u, v))
 
 
-def _crossings(c1, c2, shifts):
-    """The crossing of chord c1 with each translate of c2 by ``shifts``
-    (see :func:`annulus.crossing_shifts`), as (key1, key2, sign): the
-    exact integer keys of the crossing parameters along the two chords
-    that :func:`annulus.segment_intersection` gives, and the crossing's
-    sign on the surface (its frame sign times ORIENT).
+def _word_crossings(chords, pairs, kept, crossed):
+    """The crossings of a word's chord pairs (i, j), i <= j, as
+    :func:`_realize` takes them: ((i, key1), (j, key2), sign) for chord i
+    and each translate of chord j by :func:`annulus.crossing_shifts`, with
+    the exact integer keys of :func:`annulus.segment_intersection` and the
+    sign on the surface (frame sign times ORIENT).  ``crossed`` memoizes
+    each chord pair's crossings; ``kept`` holds shift lists computed
+    already, each taken out when its pair is first met.
     """
     out = []
-    for k in shifts:
-        hit = annulus.segment_intersection(c1, annulus.chord(*c2, 0, shift=k))
-        if hit is None:
-            raise AssertionError("chords %r and %r shifted by %d do not cross"
-                                 % (c1, c2, k))
-        key1, key2, sign = hit
-        out.append((key1, key2, sign * ORIENT))
-    return tuple(out)
+    for i, j in pairs:
+        c1, c2 = pair = chords[i], chords[j]
+        got = crossed.get(pair)
+        if got is None:
+            shifts = kept.pop(pair, None)
+            if shifts is None:
+                shifts = annulus.crossing_shifts(c1, c2, self_pair=(i == j))
+            got = crossed[pair] = []
+            for k in shifts:
+                hit = annulus.segment_intersection(
+                    c1, annulus.chord(*c2, 0, shift=k))
+                if hit is None:
+                    raise AssertionError(
+                        "chords %r and %r shifted by %d do not cross"
+                        % (c1, c2, k))
+                key1, key2, sign = hit
+                got.append((key1, key2, sign * ORIENT))
+        out += [((i, k1), (j, k2), sign) for k1, k2, sign in got]
+    return out
 
 
 def _chords(curves):
@@ -260,10 +273,10 @@ def _realize(word, chords, crossings):
 
     ``chords`` lists the chord of the connector after each letter of the
     word, in curve order; ``crossings`` holds one ((i, key1), (j, key2),
-    sign) per crossing of chords i <= j, with the keys and sign of
-    :func:`_crossings`.  :func:`word_to_map` computes them for every
-    chord pair, and :func:`census` takes those its search yields.  Raises
-    _VertexFree when some curve has no crossing.
+    sign) per crossing of chords i <= j, as :func:`_word_crossings` gives
+    them.  :func:`word_to_map` computes them for every chord pair, and
+    :func:`census` takes those its search yields.  Raises _VertexFree when
+    some curve has no crossing.
     """
     signs, conn_passages = passages(crossings, len(chords))
 
@@ -300,12 +313,9 @@ def word_to_map(curves):
     which the census shares, gives the rotation, pairing and walks.
     """
     chords = _chords(curves)
-    crossings = []
-    for i, ci in enumerate(chords):
-        for j, cj in enumerate(chords[i:], i):
-            shifts = annulus.crossing_shifts(ci, cj, self_pair=(i == j))
-            crossings += [((i, k1), (j, k2), sign)
-                          for k1, k2, sign in _crossings(ci, cj, shifts)]
+    n = len(chords)
+    crossings = _word_crossings(
+        chords, [(i, j) for i in range(n) for j in range(i, n)], {}, {})
     if not crossings:
         raise WordError("collection has no crossings")
     try:
@@ -418,47 +428,47 @@ def _three_crossing_words(window):
     the chords already placed, and each pair that crosses is recorded.  A
     prefix is dropped as soon as the total exceeds three.
 
-    Each connector chord and its self-crossings are computed once.  The
-    crossing count of a chord pair is computed once per :func:`_pair_class`
-    key, from the first pair met with that key, so the count table grows
-    about linearly with the window, not with the square of it.  Shift lists
-    are kept only for self-pairs and for the first pair of each key that
+    The connector chords of every ordered pair of ports, and their
+    self-crossings, are computed once before the search.  The crossing
+    count of a chord pair is computed once per :func:`_pair_class` key,
+    from the first pair met with that key, so the count table grows about
+    linearly with the window, not with the square of it.  Shift lists are
+    kept only for self-pairs and for the first pair of each key that
     crosses, until a yielded word holds that pair; any other pair a yielded
     word holds gets its shifts, and each pair its crossings, once.  The
     tables last one call, and are freed when the search ends or is closed.
     """
-    options = {}  # (exit port, entry port) -> its choices()
-    counts = {}   # _pair_class key -> crossing count of its chord pairs
+    # (exit port, entry port) -> its connectors in window order, as
+    # (exponent, chord, arc class, self-crossings)
+    options = {}
     kept = {}     # (chord, chord) in curve order -> crossing shifts
-    crossed = {}  # (chord, chord) in curve order -> their _crossings
-
-    def choices(exit_, entry):
-        # a connector's (exponent, chord, arc class, self-crossings),
-        # exponents in window order
-        got = options.get((exit_, entry))
-        if got is None:
-            got = options[exit_, entry] = []
-            for t in window:
-                c = _connector_chord(exit_, entry, t)
-                own = annulus.crossing_shifts(c, c, self_pair=True)
-                if own:
-                    kept[c, c] = own
-                got.append((t, c, _arc_class(c), len(own)))
-        return got
-
-    def extend(word, curve, letter, sign, rest, placed, classes, pairs,
-               total):
-        # the open curve runs the letters of ``curve``, then ``letter``
-        # with ``sign``; ``rest`` holds the unused letters, and ``classes``
-        # the arc class of each chord in ``placed``.  The next connector
-        # enters an unused letter either way round, or closes the curve at
-        # its first arc's entry port.
+    for u in PORTS:
+        for v in PORTS:
+            if u != v:
+                options[u, v] = got = []
+                for t in window:
+                    c = _connector_chord(u, v, t)
+                    own = annulus.crossing_shifts(c, c, self_pair=True)
+                    if own:
+                        kept[c, c] = own
+                    got.append((t, c, _arc_class(c), len(own)))
+    counts = {}   # _pair_class key -> crossing count of its chord pairs
+    crossed = {}  # (chord, chord) in curve order -> their crossings
+    # a prefix: the closed curves, the open curve's letters, then
+    # ``letter`` with ``sign``; the unused letters, the chords placed and
+    # their arc classes, the chord pairs that cross and their total
+    stack = [((), (), LETTERS[0], 1, LETTERS[1:], (), (), (), 0)]
+    while stack:
+        word, curve, letter, sign, rest, placed, classes, pairs, total = \
+            stack.pop()
+        # the next connector enters an unused letter either way round, or
+        # closes the curve at its first arc's entry port
         exit_ = _ports(letter, sign)[1]
         first = curve[0][0] if curve else letter
         pos = len(placed)
         targets = [(nl, ns) for nl in rest for ns in (1, -1)] + [(first, 1)]
         for nl, ns in targets:
-            for t, c, arc, own in choices(exit_, _ports(nl, ns)[0]):
+            for t, c, arc, own in options[exit_, _ports(nl, ns)[0]]:
                 more = total + own
                 if more > 3:
                     continue
@@ -480,38 +490,18 @@ def _three_crossing_words(window):
                         found += ((p, pos),)
                 else:
                     done = curve + ((letter, sign, t),)
+                    chords = placed + (c,)
                     if nl != first:
-                        yield from extend(word, done, nl, ns,
-                                          tuple(x for x in rest if x != nl),
-                                          placed + (c,), classes + (arc,),
-                                          found, more)
+                        stack.append((word, done, nl, ns,
+                                      tuple(x for x in rest if x != nl),
+                                      chords, classes + (arc,), found, more))
                     elif rest:
-                        yield from extend(word + (done,), (), rest[0], 1,
-                                          rest[1:], placed + (c,),
-                                          classes + (arc,), found, more)
+                        stack.append((word + (done,), (), rest[0], 1,
+                                      rest[1:], chords, classes + (arc,),
+                                      found, more))
                     elif more == 3:
-                        yield word + (done,), placed + (c,), found
-
-    try:
-        for word, chords, pairs in extend((), (), LETTERS[0], 1, LETTERS[1:],
-                                          (), (), (), 0):
-            crossings = []
-            for i, j in pairs:
-                pair = chords[i], chords[j]
-                got = crossed.get(pair)
-                if got is None:
-                    shifts = kept.pop(pair, None)
-                    if shifts is None:
-                        shifts = annulus.crossing_shifts(
-                            *pair, self_pair=(i == j))
-                    got = crossed[pair] = _crossings(*pair, shifts)
-                crossings += [((i, k1), (j, k2), sign)
-                              for k1, k2, sign in got]
-            yield word, chords, crossings
-    finally:
-        # extend refers to itself: drop it, so that its closure and the
-        # tables go now and not at the next cyclic collection
-        del extend
+                        yield word + (done,), chords, _word_crossings(
+                            chords, found, kept, crossed)
 
 
 # The largest twist bound census() accepts.  The search's memory grows only
@@ -536,8 +526,7 @@ def census(twist_bound=2):
     The search's chord, count and crossing tables, which grow about
     linearly with the bound, are freed when the call returns.  Returns a
     list of Genus2Build representatives sorted by curve count
-    (descending), each certified by its genus, separating-cycle and basis
-    checks.
+    (descending), each certified by its genus and basis checks.
     These are the one-faced classes the word model reaches, not all of
     them: :func:`exhaustive_unicellular_maps` lists six classes, and the
     census finds four.
@@ -570,14 +559,12 @@ def census(twist_bound=2):
     # by curve count (descending), then label
     reps = [Genus2Build(word, m, walks) for _, word, m, walks
             in sorted(found.values(), key=lambda f: (-len(f[1]), f[0][1]))]
-    # one genus, separating-cycle and basis check per class
+    # one genus and basis check per class; a one-faced map has no
+    # separating cycle (see has_separating_cycle), so none is looked for
     for build in reps:
         if build.map.genus != 2:
             raise AssertionError("%s has genus %d"
                                  % (word_label(build.word), build.map.genus))
-        if has_separating_cycle(build.map):
-            raise AssertionError("%s has a separating cycle"
-                                 % word_label(build.word))
         if not build.standard_basis():
             raise AssertionError("%s has no standard basis"
                                  % word_label(build.word))

@@ -44,12 +44,9 @@ def _load_map(path):
         raise DomainFailure("%s: invalid map: %s" % (path, exc))
 
 
-def _load_polytope(path, hull=True):
-    """The hull of a polytope file's points, or with ``hull`` false a
-    LatticePolytope of the points as they are."""
+def _load_polytope(path):
+    """A LatticePolytope of a polytope file's points, with no hull taken."""
     try:
-        if hull:
-            return polytope.parse_polytope(_read(path))
         return polytope.LatticePolytope(polytope.parse_points(_read(path)))
     except ValueError as exc:
         raise ParseFailure("%s: %s" % (path, exc))
@@ -229,6 +226,10 @@ def _cmd_parity(args):
 
 def _cmd_realize_torus(args):
     p = _load_polytope(args.polygon)
+    if p.ambient_dim == 2:
+        # outside Z^2 torus.realize refuses the raw points, so no input
+        # pays for a hull before its dimension is checked
+        p = polytope.convex_hull(p.vertices)
     try:
         collection = torus.realize(p)
     except torus.PolygonError as exc:
@@ -299,7 +300,7 @@ def _cmd_verify_theorem(args):
 
 def _cmd_check_p8(args):
     # decided on the raw points, so that no input pays for a large hull
-    points = _load_polytope(args.polytope, hull=False)
+    points = _load_polytope(args.polytope)
     try:
         member = polytope.hull_is_p8(points)
     except polytope.DimensionError as exc:

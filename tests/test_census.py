@@ -698,6 +698,47 @@ class TestExhaustiveMaps:
                   if canonical_key(m, allow_reflection=True) not in found]
         assert sorted(missed) == [[1, 1, 2, 2], [1, 2, 3]]
 
+    def test_letter_model_reaches_four_classes(self):
+        # why the census misses two classes, from the maps alone: a
+        # connector's twists go around the core of the connecting annulus,
+        # which separates the surface, so in the word model a curve's class
+        # is the signed sum of its letters, each letter used once, and
+        # curves meet algebraically as their letters pair under the
+        # symplectic form.  Count the (letter assignment, curve reversal)
+        # pairs that give each map's signed crossing matrix
+        omega = {("a1", "b1"): 1, ("b1", "a1"): -1,
+                 ("a2", "b2"): 1, ("b2", "a2"): -1}
+        letters = ("a1", "b1", "a2", "b2")
+        found = {}
+        for m in exhaustive_unicellular_maps():
+            strands = map_curves(m)
+            n = len(strands)
+            curve_of = {h: i for i, s in enumerate(strands) for h in s}
+            # +1 when curve j leaves a vertex on the germ after curve i's
+            # outgoing germ in rotation order; self-crossings left out
+            crossing = [[0] * n for _ in range(n)]
+            for g, i in curve_of.items():
+                j = curve_of.get(m.rotation[g])
+                if j is not None and j != i:
+                    crossing[i][j] += 1
+                    crossing[j][i] -= 1
+            count = 0
+            for place in product(range(n), repeat=4):
+                if len(set(place)) < n:  # every curve holds a letter
+                    continue
+                for signs in product((1, -1), repeat=4):
+                    pairing = [[0] * n for _ in range(n)]
+                    for x, cx, sx in zip(letters, place, signs):
+                        for y, cy, sy in zip(letters, place, signs):
+                            pairing[cx][cy] += sx * sy * omega.get((x, y), 0)
+                    count += sum(
+                        all(pairing[i][j] == flip[i] * flip[j] * crossing[i][j]
+                            for i in range(n) for j in range(n))
+                        for flip in product((1, -1), repeat=n))
+            found[tuple(sorted(len(s) for s in strands))] = count
+        assert found == {(1, 1, 4): 256, (1, 5): 256, (6,): 32, (2, 4): 256,
+                         (1, 1, 2, 2): 0, (1, 2, 3): 0}
+
 
 class TestSeparatingCycles:
     def test_census_collections_are_filling(self, census_reps):

@@ -398,6 +398,24 @@ class TestRealizeTorus:
         code, _, _ = run(capsys, "realize-torus", fx("intro.poly"))
         assert code == 1
 
+    @pytest.mark.parametrize("emit_map", [[], ["--emit-map"]])
+    def test_points_outside_the_plane_make_no_lp(self, capsys, tmp_path, rng,
+                                                 monkeypatch, emit_map):
+        # refused on the raw points: a hull of 120 points in [-50, 50]^4
+        # before the dimension check took 15 s
+        real = polytope.in_convex_hull
+        calls = []
+
+        def in_convex_hull(point, points):
+            calls.append(point)
+            return real(point, points)
+
+        monkeypatch.setattr(polytope, "in_convex_hull", in_convex_hull)
+        poly = TestCheckP8.write_points(tmp_path / "wide.poly", rng, -50, 50)
+        code, out, err = run(capsys, "realize-torus", poly, *emit_map)
+        assert (code, out, len(calls)) == (1, "", 0)
+        assert err == "error: polygon must live in Z^2\n"
+
 
 class TestCensusCommands:
     def test_census_lists_four_classes(self, capsys):
