@@ -31,31 +31,15 @@ SCALE = 9  # lift heights live in (port height) + SCALE * Z
 KEY_BITS = 256  # bits below the binary point of a crossing key
 
 
-class Endpoint(tuple):
-    """A lifted arc endpoint (side, scaled height)."""
-
-    __slots__ = ()
-
-    def __new__(cls, side, height):
-        if side not in ("L", "R"):
-            raise ValueError("side must be 'L' or 'R'")
-        return tuple.__new__(cls, (side, int(height)))
-
-    @property
-    def side(self):
-        return self[0]
-
-    @property
-    def height(self):
-        return self[1]
-
-
 def chord(start, end, twist, shift=0):
-    """The lift of an arc: start at its base height, end offset by the
-    twist; ``shift`` translates the whole chord by that many turns."""
+    """The lift of an arc between two (side, height) ends, side 'L' or
+    'R': start at its base height, end offset by the twist; ``shift``
+    translates the whole chord by that many turns."""
     (s0, h0), (s1, h1) = start, end
+    if s0 not in ("L", "R") or s1 not in ("L", "R"):
+        raise ValueError("side must be 'L' or 'R'")
     d = SCALE * shift
-    return (Endpoint(s0, h0 + d), Endpoint(s1, h1 + SCALE * twist + d))
+    return ((s0, h0 + d), (s1, h1 + SCALE * twist + d))
 
 
 def _inside(c1, side):
@@ -118,6 +102,41 @@ def count_self_crossings(c):
     return len(crossing_shifts(c, c, self_pair=True))
 
 
+def arc_class(c):
+    """A chord up to translation and orientation, as (shape, turns).
+
+    The chord's ends are put in boundary order and translated so that the
+    first lies in [0, SCALE).  A chord with both ends on one side keeps
+    that whole normalised lift as its shape, and its turns are None.  A
+    chord across the annulus keeps only its two ports, as the heights of
+    its left and right ends modulo SCALE, and its turns: how many times
+    its right end lies a full turn above its left end.
+    """
+    (s0, h0), (s1, h1) = sorted(c)
+    h1 -= h0 // SCALE * SCALE
+    h0 %= SCALE
+    if s0 == s1:
+        return (s0, h0, h1), None
+    return (h0, h1 % SCALE), h1 // SCALE
+
+
+def pair_class(k1, k2):
+    """The key of an ordered pair of chords with four distinct ports, from
+    their :func:`arc_class` values; pairs with one key cross equally often.
+
+    A crossing number in the annulus does not change when either arc is
+    translated or reversed, nor under the Dehn twist about the core, which
+    adds one turn to every chord across.  So two chords across count by
+    their ports and the difference of their turns.  When a chord has both
+    ends on one side, the twist moves it by a translation at most, so a
+    chord across beside it counts by its ports alone.
+    """
+    (a, s), (b, t) = k1, k2
+    if s is None or t is None:
+        return a, b
+    return a, b, s - t
+
+
 # ---------------------------------------------------------------------------
 # Exact geometry: straight chords in a round disk
 # ---------------------------------------------------------------------------
@@ -172,3 +191,17 @@ def segment_intersection(c1, c2):
     if max(m1, m2) >> KEY_BITS // 2:
         raise ValueError("crossing denominator reaches 2**(KEY_BITS / 2)")
     return ((n1 << KEY_BITS) // m1, (n2 << KEY_BITS) // m2, sign)
+
+
+def shifted_crossings(c1, c2, shifts):
+    """The crossings of c1 with c2 translated by each of ``shifts`` turns,
+    as :func:`segment_intersection` gives them; AssertionError if one does
+    not cross, which no shift from :func:`crossing_shifts` may do."""
+    out = []
+    for k in shifts:
+        hit = segment_intersection(c1, chord(*c2, 0, shift=k))
+        if hit is None:
+            raise AssertionError("chords %r and %r shifted by %d do not cross"
+                                 % (c1, c2, k))
+        out.append(hit)
+    return out

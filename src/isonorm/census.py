@@ -16,7 +16,6 @@ standard symplectic pairing of the basis walks).
 from __future__ import annotations
 
 from . import annulus, coorient, homology, polytope
-from .annulus import Endpoint
 from .maps import (CombinatorialMap, canonical_key, from_strands, one_faced,
                    passages)
 
@@ -30,11 +29,8 @@ _LEFT_ORDER = (("b1", "-"), ("a1", "-"), ("b1", "+"), ("a1", "+"))
 _RIGHT_ORDER = (("b2", "+"), ("a2", "-"), ("b2", "-"), ("a2", "+"))
 _HEIGHTS = (8, 6, 4, 2)
 
-PORTS = {}
-for _p, _h in zip(_LEFT_ORDER, _HEIGHTS):
-    PORTS[_p] = Endpoint("L", _h)
-for _p, _h in zip(_RIGHT_ORDER, _HEIGHTS):
-    PORTS[_p] = Endpoint("R", _h)
+PORTS = {**{p: ("L", h) for p, h in zip(_LEFT_ORDER, _HEIGHTS)},
+         **{p: ("R", h) for p, h in zip(_RIGHT_ORDER, _HEIGHTS)}}
 
 # Baseline twist of the straightest connector between two ports: a word
 # exponent of k twists is drawn as a chord with lift offset k + baseline.
@@ -138,13 +134,11 @@ def _connector_chord(u, v, twist):
 
 def _word_crossings(chords, pairs, kept, crossed):
     """The crossings of a word's chord pairs (i, j), i <= j, as
-    :func:`_realize` takes them: ((i, key1), (j, key2), sign) for chord i
-    and each translate of chord j by :func:`annulus.crossing_shifts`, with
-    the exact integer keys of :func:`annulus.segment_intersection` and the
-    sign on the surface (frame sign times ORIENT).  ``crossed`` memoizes
-    each chord pair's crossings; ``kept`` holds shift lists computed
-    already, each taken out when its pair is first met.
-    """
+    :func:`_realize` takes them: ((i, key1), (j, key2), sign) from
+    :func:`annulus.shifted_crossings` at the pair's crossing shifts, with
+    the sign on the surface (frame sign times ORIENT).  ``crossed``
+    memoizes each chord pair's crossings; ``kept`` holds shift lists
+    computed already, each taken out when its pair is first met."""
     out = []
     for i, j in pairs:
         c1, c2 = pair = chords[i], chords[j]
@@ -153,16 +147,9 @@ def _word_crossings(chords, pairs, kept, crossed):
             shifts = kept.pop(pair, None)
             if shifts is None:
                 shifts = annulus.crossing_shifts(c1, c2, self_pair=(i == j))
-            got = crossed[pair] = []
-            for k in shifts:
-                hit = annulus.segment_intersection(
-                    c1, annulus.chord(*c2, 0, shift=k))
-                if hit is None:
-                    raise AssertionError(
-                        "chords %r and %r shifted by %d do not cross"
-                        % (c1, c2, k))
-                key1, key2, sign = hit
-                got.append((key1, key2, sign * ORIENT))
+            got = crossed[pair] = [
+                (key1, key2, sign * ORIENT) for key1, key2, sign
+                in annulus.shifted_crossings(c1, c2, shifts)]
         out += [((i, k1), (j, k2), sign) for k1, k2, sign in got]
     return out
 
@@ -193,12 +180,7 @@ def self_intersection(curves):
 # ---------------------------------------------------------------------------
 
 # A above C on the left boundary, B above D on the right.
-ARC_POINTS = {
-    "A": Endpoint("L", 6),
-    "C": Endpoint("L", 3),
-    "B": Endpoint("R", 6),
-    "D": Endpoint("R", 3),
-}
+ARC_POINTS = {"A": ("L", 6), "C": ("L", 3), "B": ("R", 6), "D": ("R", 3)}
 
 
 class AnnulusArc:
@@ -378,41 +360,6 @@ def _perfect_matchings(items):
             yield ((a, items[i]),) + m
 
 
-def _arc_class(c):
-    """A chord up to translation and orientation, as (shape, turns).
-
-    The chord's ends are put in boundary order and translated so that the
-    first lies in [0, SCALE).  A chord with both ends on one side keeps
-    that whole normalised lift as its shape, and its turns are None.  A
-    chord across the annulus keeps only its two ports, as the heights of
-    its left and right ends modulo SCALE, and its turns: how many times
-    its right end lies a full turn above its left end.
-    """
-    (s0, h0), (s1, h1) = sorted(c)
-    h1 -= h0 // annulus.SCALE * annulus.SCALE
-    h0 %= annulus.SCALE
-    if s0 == s1:
-        return (s0, h0, h1), None
-    return (h0, h1 % annulus.SCALE), h1 // annulus.SCALE
-
-
-def _pair_class(k1, k2):
-    """The key of an ordered pair of chords with four distinct ports, from
-    their :func:`_arc_class` values; pairs with one key cross equally often.
-
-    A crossing number in the annulus does not change when either arc is
-    translated or reversed, nor under the Dehn twist about the core, which
-    adds one turn to every chord across.  So two chords across count by
-    their ports and the difference of their turns.  When a chord has both
-    ends on one side, the twist moves it by a translation at most, so a
-    chord across beside it counts by its ports alone.
-    """
-    (a, s), (b, t) = k1, k2
-    if s is None or t is None:
-        return a, b
-    return a, b, s - t
-
-
 def _three_crossing_words(window):
     """Words with twists from ``window`` whose connectors cross exactly
     three times, as (word, chords, crossings): the word's connector chords
@@ -430,7 +377,7 @@ def _three_crossing_words(window):
 
     The connector chords of every ordered pair of ports, and their
     self-crossings, are computed once before the search.  The crossing
-    count of a chord pair is computed once per :func:`_pair_class` key,
+    count of a chord pair is computed once per :func:`annulus.pair_class` key,
     from the first pair met with that key, so the count table grows about
     linearly with the window, not with the square of it.  Shift lists are
     kept only for self-pairs and for the first pair of each key that
@@ -451,8 +398,8 @@ def _three_crossing_words(window):
                     own = annulus.crossing_shifts(c, c, self_pair=True)
                     if own:
                         kept[c, c] = own
-                    got.append((t, c, _arc_class(c), len(own)))
-    counts = {}   # _pair_class key -> crossing count of its chord pairs
+                    got.append((t, c, annulus.arc_class(c), len(own)))
+    counts = {}   # pair class key -> crossing count of its chord pairs
     crossed = {}  # (chord, chord) in curve order -> their crossings
     # a prefix: the closed curves, the open curve's letters, then
     # ``letter`` with ``sign``; the unused letters, the chords placed and
@@ -474,7 +421,7 @@ def _three_crossing_words(window):
                     continue
                 found = pairs + ((pos, pos),) if own else pairs
                 for p, prev in enumerate(classes):
-                    key = _pair_class(prev, arc)
+                    key = annulus.pair_class(prev, arc)
                     n = counts.get(key)
                     if n is None:
                         # connectors of one word share no port, so these

@@ -17,7 +17,7 @@ from . import census, coorient, homology, maps, moves, polytope, torus
 
 
 class ParseFailure(Exception):
-    """Bad input file (exit 2)."""
+    """Bad input file or option pair (exit 2)."""
 
 
 class DomainFailure(Exception):
@@ -150,6 +150,8 @@ def _cmd_faces(args):
 
 
 def _cmd_dualball(args):
+    if args.classes and args.format == "off":
+        raise ParseFailure("--classes cannot be used with --format off")
     m, edges = _load_map(args.map)
     basis = _basis(args, m, edges)
     classes = sorted(coorient.eulco_classes(m, basis))
@@ -252,6 +254,8 @@ def _cmd_realize_torus(args):
 
 def _cmd_census(args):
     if args.exhaustive_maps:
+        if args.twist_bound is not None:
+            raise ParseFailure("--exhaustive-maps takes no --twist-bound")
         reps = census.exhaustive_unicellular_maps()
         text = "classes: %d\n" % len(reps) + "".join(
             maps.serialize_map(m) for m in reps)
@@ -259,7 +263,8 @@ def _cmd_census(args):
                            "maps": [maps.serialize_map(m) for m in reps]})
         return 0
     try:
-        reps = census.census(args.twist_bound)
+        reps = census.census(
+            2 if args.twist_bound is None else args.twist_bound)
     except ValueError as exc:
         raise DomainFailure(str(exc))
     parts = ["classes: %d\n" % len(reps)]
@@ -366,7 +371,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_realize_torus)
 
     p = sub.add_parser("census", help="one-faced genus-2 census")
-    p.add_argument("--twist-bound", type=int, default=2)
+    p.add_argument("--twist-bound", type=int)  # 2 unless given
     p.add_argument("--exhaustive-maps", action="store_true")
     p.set_defaults(func=_cmd_census)
 

@@ -180,21 +180,34 @@ def _line_crossings(curves):
     with r = o2 - o1 and det = det(d1, d2); the torus crossings are these
     points mod 1.  With det(b, d2) = 1 every w is a b + k d2, and k only
     shifts t by an integer, so each residue a mod det gives one crossing.
+    Consecutive curves of one direction form a run (:func:`realize_map`
+    lists each family's copies together); b and det(b, d1) are found once
+    per pair of runs, and a pair of parallel runs is skipped whole.
     """
+    runs = []  # (direction, its curves) per run of one direction
+    for i, (d, _) in enumerate(curves):
+        if not runs or runs[-1][0] != d:
+            runs.append((d, []))
+        runs[-1][1].append(i)
     crossings = []
-    for i, (d1, o1) in enumerate(curves):
-        for j in range(i + 1, len(curves)):
-            d2, o2 = curves[j]
+    for n, (d1, run) in enumerate(runs):
+        later = []  # (curves, det, det(b, d1)) of each later run
+        for d2, others in runs[n + 1:]:
             det = _det(d1, d2)
-            if det == 0:
-                continue
-            sign = 1 if det > 0 else -1
-            x, y = d2
-            p = pow(y, -1, abs(x)) if x else y  # p y = 1 mod x
-            b = (p, (p * y - 1) // x if x else 0)  # det(b, d2) = 1
-            r = (o2[0] - o1[0], o2[1] - o1[1])
-            rs, rt, c = _det(r, d2), _det(r, d1), _det(b, d1)
-            for a in range(abs(det)):
-                crossings.append(((i, Fraction(rs + a, det) % 1),
-                                  (j, Fraction(rt + a * c, det) % 1), sign))
+            if det:
+                x, y = d2
+                p = pow(y, -1, abs(x)) if x else y  # p y = 1 mod x
+                b = (p, (p * y - 1) // x if x else 0)  # det(b, d2) = 1
+                later.append((others, det, _det(b, d1)))
+        for i in run:
+            o1 = curves[i][1]
+            for others, det, c in later:
+                sign = 1 if det > 0 else -1
+                for j in others:
+                    d2, o2 = curves[j]
+                    r = (o2[0] - o1[0], o2[1] - o1[1])
+                    rs, rt = _det(r, d2), _det(r, d1)
+                    crossings += [((i, Fraction(rs + a, det) % 1),
+                                   (j, Fraction(rt + a * c, det) % 1), sign)
+                                  for a in range(abs(det))]
     return crossings

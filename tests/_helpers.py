@@ -7,7 +7,7 @@ cannot hide on both sides of a comparison.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import comb, factorial, gcd
 from pathlib import Path
 
 from isonorm.annulus import KEY_BITS, SCALE
@@ -389,3 +389,106 @@ def separating_cycle_oracle(m):
                for we in walk_edges):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Completeness of the one-faced set, by a count
+# ---------------------------------------------------------------------------
+
+def cycle_type(perm):
+    """The cycle lengths of a permutation given as a list, descending."""
+    seen, out = set(), []
+    for start in range(len(perm)):
+        n, h = 0, start
+        while h not in seen:
+            seen.add(h)
+            h = perm[h]
+            n += 1
+        if n:
+            out.append(n)
+    return tuple(sorted(out, reverse=True))
+
+
+def centraliser_order(parts):
+    """The order of the centraliser in S_n of a permutation of cycle type
+    ``parts``: the product of k^m m! over the m cycles of each length k."""
+    out = 1
+    for k in set(parts):
+        m = parts.count(k)
+        out *= k ** m * factorial(m)
+    return out
+
+
+def hook_character(arm, leg, parts):
+    """The irreducible character of S_n on the hook (arm, 1^leg), n = arm
+    + leg, at cycle type ``parts``, by the Murnaghan-Nakayama rule.
+
+    A border strip of a hook is the end of its arm (height 0), the foot
+    of its leg (height its length - 1) or the whole hook (height leg), and
+    what the first two leave is a hook again.
+    """
+    if not parts:
+        return 1
+    k, rest = parts[0], parts[1:]
+    if k == arm + leg:
+        return (-1) ** leg
+    out = 0
+    if arm > k:
+        out += hook_character(arm - k, leg, rest)
+    if leg >= k:
+        out += (-1) ** (k - 1) * hook_character(arm, leg - k, rest)
+    return out
+
+
+def one_faced_pairing_count(rotation_type):
+    """The number of fixed-point-free involutions a with s a an n-cycle,
+    for one fixed s of cycle type ``rotation_type`` (n = its sum).
+
+    Frobenius's formula counts the products of three conjugacy classes
+    that give the identity: |C_a| |C_n| / n! times the sum over the
+    irreducible characters of chi(a) chi(s) chi(n-cycle) / chi(1).  Only
+    the hooks have a nonzero character on an n-cycle: (-1)^leg, with
+    dimension C(n - 1, leg).
+    """
+    n = sum(rotation_type)
+    pairing_type = (2,) * (n // 2)
+    total = sum(Fraction((-1) ** leg
+                         * hook_character(n - leg, leg, pairing_type)
+                         * hook_character(n - leg, leg, rotation_type),
+                         comb(n - 1, leg)) for leg in range(n))
+    return total * factorial(n) / (centraliser_order(pairing_type) * n)
+
+
+def mirror(rotation, pairing):
+    """The mirror image of a map: the inverse rotation, the same pairing."""
+    inverse = [0] * len(rotation)
+    for h, g in enumerate(rotation):
+        inverse[g] = h
+    return tuple(inverse), tuple(pairing)
+
+
+def orientation_isomorphisms(map1, map2):
+    """The number of bijections of half-edges that carry the rotation and
+    pairing of map1, a connected map given as (rotation, pairing), onto
+    those of map2.  Such a bijection is fixed by the image of half-edge 0,
+    so one trial per half-edge of map2 finds them all."""
+    if len(map1[0]) != len(map2[0]):
+        return 0
+    return sum(_carries(map1, map2, image) for image in range(len(map2[0])))
+
+
+def _carries(map1, map2, image):
+    """Whether sending half-edge 0 of map1 to ``image`` extends to a
+    bijection that carries map1's rotation and pairing onto map2's."""
+    (r1, p1), (r2, p2) = map1, map2
+    phi = {0: image}
+    stack = [0]
+    while stack:
+        h = stack.pop()
+        for g, to in ((r1[h], r2[phi[h]]), (p1[h], p2[phi[h]])):
+            if g not in phi:
+                phi[g] = to
+                stack.append(g)
+            elif phi[g] != to:
+                return False
+    return len(set(phi.values())) == len(r1)

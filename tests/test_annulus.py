@@ -1,7 +1,7 @@
 import pytest
 
 from isonorm import annulus
-from isonorm.annulus import (KEY_BITS, Endpoint, chord, count_crossings,
+from isonorm.annulus import (KEY_BITS, chord, count_crossings,
                              count_self_crossings, crossing_shifts,
                              segment_intersection)
 from isonorm.census import AnnulusArc, arc_intersection
@@ -104,8 +104,8 @@ class TestArcFormulas:
 
 class TestChordModel:
     def test_shared_endpoint_is_no_crossing(self):
-        c1 = (Endpoint("L", 2), Endpoint("L", 13))
-        c2 = (Endpoint("L", 2), Endpoint("L", 4))
+        c1 = (("L", 2), ("L", 13))
+        c2 = (("L", 2), ("L", 4))
         # shift 0 shares L2 and shift 1 shares L13; neither crosses
         for k in (0, 1):
             assert segment_intersection(c1, chord(*c2, 0, shift=k)) is None
@@ -113,12 +113,12 @@ class TestChordModel:
         assert count_crossings(c1, c2) == 0
 
     def test_crossing_count_is_symmetric(self):
-        c1 = chord(Endpoint("L", 6), Endpoint("R", 3), 2)
-        c2 = chord(Endpoint("L", 3), Endpoint("R", 6), -1)
+        c1 = chord(("L", 6), ("R", 3), 2)
+        c2 = chord(("L", 3), ("R", 6), -1)
         assert count_crossings(c1, c2) == count_crossings(c2, c1)
 
     def test_crossing_shifts_match_scan_oracle(self):
-        ports = [Endpoint(s, h) for s in "LR" for h in (2, 3, 4, 6, 8)]
+        ports = [(s, h) for s in "LR" for h in (2, 3, 4, 6, 8)]
         chords = [chord(p, q, t) for p in ports for q in ports if p != q
                   for t in range(-5, 6)]
         for c1 in chords:
@@ -132,7 +132,7 @@ class TestChordModel:
         # at a height that is a multiple of SCALE, an endpoint on the
         # side that a one-sided chord does not touch gets an empty range
         # of inside shifts with first > stop, which must count as empty
-        ports = [Endpoint(s, h) for s in "LR" for h in (0, 4, 9)]
+        ports = [(s, h) for s in "LR" for h in (0, 4, 9)]
         chords = [chord(p, q, t) for p in ports for q in ports if p != q
                   for t in range(-2, 3)]
         for c1 in chords:
@@ -143,8 +143,8 @@ class TestChordModel:
                     if crossing_shifts(c1, c2) != oracle.shifts(c2)] == []
 
     def test_untwisted_disjoint_chords(self):
-        c1 = chord(Endpoint("L", 6), Endpoint("R", 6), 0)
-        c2 = chord(Endpoint("L", 3), Endpoint("R", 3), 0)
+        c1 = chord(("L", 6), ("R", 6), 0)
+        c2 = chord(("L", 3), ("R", 3), 0)
         assert count_crossings(c1, c2) == 0
 
     def test_self_crossings_of_same_side_returns(self):
@@ -152,24 +152,24 @@ class TestChordModel:
         # once per full turn beyond the free half-turn available in the
         # annulus: max(-t, t - 1) for a descending left-side return
         for t in range(-4, 5):
-            c = chord(Endpoint("L", 6), Endpoint("L", 3), t)
+            c = chord(("L", 6), ("L", 3), t)
             assert count_self_crossings(c) == max(-t, t - 1)
 
     def test_side_to_side_arcs_are_embedded(self):
         for t in range(-4, 5):
-            c = chord(Endpoint("L", 6), Endpoint("R", 3), t)
+            c = chord(("L", 6), ("R", 3), t)
             assert count_self_crossings(c) == 0
 
     def test_shift_translates_whole_chord(self):
-        c = chord(Endpoint("L", 6), Endpoint("R", 3), 1, shift=2)
-        assert c[0].height == 6 + 2 * annulus.SCALE
-        assert c[1].height == 3 + 3 * annulus.SCALE
+        c = chord(("L", 6), ("R", 3), 1, shift=2)
+        assert c[0][1] == 6 + 2 * annulus.SCALE
+        assert c[1][1] == 3 + 3 * annulus.SCALE
 
     def test_crossing_shifts_match_geometry(self):
         # the straight disk chords cross exactly at the listed shifts,
         # also where the chords share a port: a translate sharing an
         # endpoint only touches the fixed chord
-        ports = [Endpoint(s, h) for s in "LR" for h in (3, 6)]
+        ports = [(s, h) for s in "LR" for h in (3, 6)]
         window = range(-6, 7)
         for p1 in ports:
             for q1 in ports:
@@ -195,8 +195,8 @@ class TestChordModel:
                                     is not None]
 
     def test_segment_intersection_exact(self):
-        c1 = chord(Endpoint("L", 6), Endpoint("R", 3), 0)
-        c2 = chord(Endpoint("L", 3), Endpoint("R", 6), 0)
+        c1 = chord(("L", 6), ("R", 3), 0)
+        c2 = chord(("L", 3), ("R", 6), 0)
         hit = segment_intersection(c1, c2)
         assert hit is not None
         key1, key2, sign = hit
@@ -207,7 +207,7 @@ class TestChordModel:
         assert segment_intersection(c2, c1)[2] == -sign
 
     def test_segment_intersection_matches_fraction_oracle(self):
-        ports = [Endpoint(s, h) for s in "LR" for h in (2, 3, 4, 6, 8)]
+        ports = [(s, h) for s in "LR" for h in (2, 3, 4, 6, 8)]
         pairs = [(p, q) for p in ports for q in ports if p != q]
         chords = [chord(p, q, t) for p, q in pairs for t in range(-3, 4)]
         # every ordered pair of twisted chords, then every relative shift
@@ -242,8 +242,8 @@ class TestChordModel:
     def test_tall_chords_raise(self):
         # a crossing parameter with denominator 2**(KEY_BITS / 2) or more
         # could share its key with a distinct one
-        c1 = chord(Endpoint("L", 6), Endpoint("R", 3), 0)
-        low, tall = (chord(Endpoint("L", 3), Endpoint("R", 6), 2 ** e)
+        c1 = chord(("L", 6), ("R", 3), 0)
+        low, tall = (chord(("L", 3), ("R", 6), 2 ** e)
                      for e in (40, 44))
         t1, t2, sign = segment_intersection_oracle(c1, low)
         assert segment_intersection(c1, low) \
@@ -253,9 +253,9 @@ class TestChordModel:
             segment_intersection(c1, tall)
 
     def test_parallel_segments_do_not_cross(self):
-        c = chord(Endpoint("L", 6), Endpoint("R", 3), 0)
+        c = chord(("L", 6), ("R", 3), 0)
         assert segment_intersection(c, c) is None
 
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError):
-            Endpoint("X", 3)
+            chord(("X", 3), ("L", 2), 0)

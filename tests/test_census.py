@@ -2,6 +2,7 @@ import gc
 import hashlib
 import re
 from collections import Counter, defaultdict
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -18,8 +19,10 @@ from isonorm.maps import (CombinatorialMap, InvalidMap, canonical_key,
 
 from _helpers import (CHAIN, FIGURE_EIGHT, FIXTURES, GOLDEN_BALLS,
                       INTRO_VECTORS, STANDARD_SYMPLECTIC, TORUS_CROSS, WORDS,
-                      floor_key, random_valid_map,
-                      segment_intersection_oracle, separating_cycle_oracle)
+                      centraliser_order, cycle_type, floor_key, mirror,
+                      one_faced_pairing_count, orientation_isomorphisms,
+                      random_valid_map, segment_intersection_oracle,
+                      separating_cycle_oracle)
 
 CENSUS_JSON_SHA256 = \
     "5bddd6913e3c67318435482c7665c404d333e482bc21df04b5895433e0647f61"
@@ -616,14 +619,14 @@ class TestPairClass:
         chords = [(u, v, annulus.chord(census.PORTS[u], census.PORTS[v], t))
                   for u in ALL_PORTS for v in ALL_PORTS if u != v
                   for t in range(-3, 4)]
-        arcs = [census._arc_class(c) for _, _, c in chords]
+        arcs = [annulus.arc_class(c) for _, _, c in chords]
         counts = defaultdict(set)  # key -> crossing counts of its pairs
         pairs = 0
         for (u1, v1, c1), k1 in zip(chords, arcs):
             for (u2, v2, c2), k2 in zip(chords, arcs):
                 if {u1, v1} & {u2, v2}:
                     continue
-                key = census._pair_class(k1, k2)
+                key = annulus.pair_class(k1, k2)
                 counts[key].add(len(annulus.crossing_shifts(c1, c2)))
                 pairs += 1
         assert pairs == 56 * 30 * 7 * 7
@@ -635,8 +638,8 @@ class TestPairClass:
         u, v = census.PORTS["a1", "+"], census.PORTS["a2", "-"]
         c = annulus.chord(u, v, 2)
         moved = annulus.chord(u, v, 2, shift=-5)
-        assert census._arc_class(c) == census._arc_class(moved[::-1])
-        assert census._arc_class(c) != census._arc_class(
+        assert annulus.arc_class(c) == annulus.arc_class(moved[::-1])
+        assert annulus.arc_class(c) != annulus.arc_class(
             annulus.chord(u, v, 3))
 
 
@@ -667,6 +670,33 @@ class TestExhaustiveMaps:
             outcomes["one-faced"] += faces == 1
         assert outcomes == {"pairings": 10395, "connected": 9504,
                             "one-faced": 1440}
+
+    def test_complete_by_a_count(self):
+        # with the rotation s fixed, the one-faced maps are the pairings a
+        # with s a a 12-cycle, counted by a character sum; the centraliser
+        # of s acts on them with the orientation classes as orbits, each
+        # of size |C(s)| / |Aut+|.  So the listed classes, with the mirror
+        # of any chiral one, are all the one-faced maps if their orbit
+        # sizes add up to the count.  Nothing from the enumerator is used
+        listed = [(m.rotation, m.pairing)
+                  for m in exhaustive_unicellular_maps()]
+        rotation = listed[0][0]
+        for r, p in listed:
+            assert r == rotation and cycle_type(p) == (2,) * 6
+            assert cycle_type([r[p[h]] for h in range(12)]) == (12,)
+        count = one_faced_pairing_count(cycle_type(rotation))
+        assert count == 1440
+        classes = []  # each listed map, and the mirror of a chiral one
+        for m in listed:
+            classes.append(m)
+            if not orientation_isomorphisms(m, mirror(*m)):
+                classes.append(mirror(*m))
+        assert all(not orientation_isomorphisms(m1, m2)
+                   for i, m1 in enumerate(classes) for m2 in classes[i + 1:])
+        auts = [orientation_isomorphisms(m, m) for m in classes]
+        assert auts == [2, 4, 2, 1, 1, 2]
+        assert sum(Fraction(centraliser_order(cycle_type(rotation)), a)
+                   for a in auts) == count
 
     def test_census_classes_embed(self, census_reps):
         keys = {canonical_key(m, allow_reflection=True)

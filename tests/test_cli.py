@@ -97,6 +97,15 @@ class TestDualBall:
         assert lines[2] == "10 0 0"
         assert len(lines) == 13
 
+    @pytest.mark.parametrize("argv", [["--classes", "--format", "off"],
+                                      ["--format", "off", "--classes"]])
+    def test_classes_with_off_format_exits_two(self, capsys, argv):
+        # nOFF has no place for the class list, so neither option is
+        # dropped in silence
+        code, out, err = run(capsys, "dualball", fx("census4.map"), *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --classes cannot be used with --format off\n"
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "--json", "dualball", fx("census2.map"),
                            "--walks", fx("census2.walks"))
@@ -428,6 +437,15 @@ class TestCensusCommands:
         code, out, _ = run(capsys, "census", "--exhaustive-maps")
         assert code == 0
         assert out.startswith("classes: 6\n")
+
+    @pytest.mark.parametrize("bound", ["1", "2", "99"])
+    def test_exhaustive_maps_with_twist_bound_exits_two(self, capsys, bound):
+        # the exhaustive list has no twist window, so any bound, even a
+        # valid or the default one, is refused rather than ignored
+        code, out, err = run(capsys, "census", "--exhaustive-maps",
+                             "--twist-bound", bound)
+        assert (code, out) == (2, "")
+        assert err == "error: --exhaustive-maps takes no --twist-bound\n"
 
     def test_small_twist_bound_exits_one(self, capsys):
         code, _, _ = run(capsys, "census", "--twist-bound", "1")

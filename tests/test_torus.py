@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from isonorm import polytope
+from isonorm import polytope, torus
 from isonorm.maps import curves as map_curves, validate
 from isonorm.polytope import convex_hull, minkowski_sum, segment, support
 from isonorm.torus import (PolygonError, TorusCollection, _line_crossings,
@@ -174,6 +175,19 @@ class TestLineCrossings:
         assert len(got) == 3 + 2 + 7
         assert set(got) == scan_crossings(curves)
 
+    def test_runs_of_parallel_curves_match_scan_oracle(self):
+        # curves of one direction in runs, and one direction in two runs
+        # apart: parallel curves never cross, in a run or across runs
+        curves = [((1, 0), (Fraction(1, 5), Fraction(1, 7))),
+                  ((1, 0), (Fraction(2, 5), Fraction(3, 7))),
+                  ((2, 3), (Fraction(0), Fraction(1, 2))),
+                  ((1, 0), (Fraction(3, 5), Fraction(6, 7))),
+                  ((2, 3), (Fraction(1, 3), Fraction(1, 9))),
+                  ((-1, 2), (Fraction(3, 4), Fraction(0)))]
+        got = _line_crossings(curves)
+        assert len(got) == len(set(got)) == 3 * 2 * 3 + 3 * 2 + 2 * 7
+        assert set(got) == scan_crossings(curves)
+
 
 class TestRealizeMap:
     def test_single_family_has_no_map(self):
@@ -214,6 +228,27 @@ class TestRealizeMap:
             for d2, m2 in families[i + 1:])
         assert m.genus == 1
         assert len(map_curves(m)) == sum(mult for _, mult in families)
+
+    def test_parallel_copies_cost_no_work_per_pair(self, monkeypatch):
+        # the rectangle (+-1, +-k) is k copies of (1, 0) and one of
+        # (0, 1): k crossings, but k^2 / 2 pairs of parallel copies.  The
+        # determinants are taken per pair of runs of parallel curves and
+        # per crossing pair of curves, not per pair of curves (about two
+        # million calls at k = 2,000)
+        k = 2000
+        calls = Counter()
+        real = torus._det
+
+        def det(u, v):
+            calls[None] += 1
+            return real(u, v)
+
+        c = realize(convex_hull([(1, k), (-1, k), (-1, -k), (1, -k)]))
+        assert c.families == (((0, 1), 1), ((1, 0), k))
+        monkeypatch.setattr(torus, "_det", det)
+        m = realize_map(c)
+        assert m.num_vertices == k
+        assert 0 < calls[None] <= 4 * (k + len(c.families) ** 2)
 
     def test_vertex_count_is_sum_of_determinants(self, rng):
         for _ in range(10):
