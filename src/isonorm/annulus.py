@@ -57,8 +57,9 @@ def _inside(c1, side):
     return (None, h1 if side == s1 else h2)
 
 
-def crossing_shifts(c1, c2, self_pair=False):
-    """Translates k such that c2 shifted by k turns crosses c1, ascending.
+def _shift_ranges(c1, c2, self_pair):
+    """Two ranges of shifts k, and a set of k to leave out of them, such
+    that c2 shifted by k turns crosses c1 for the k that remain.
 
     The chords cross iff exactly one endpoint of the shifted c2 lies
     strictly inside c1 and neither lies on an endpoint of c1 (chords
@@ -66,8 +67,8 @@ def crossing_shifts(c1, c2, self_pair=False):
     lies inside for the k with lo < h + SCALE * k < hi, a half-open range
     [first, stop) of k.  The symmetric difference of two such ranges is
     [p0, p1) and [p2, p3) for their four ends in ascending order, once an
-    empty range is written [stop, stop); from it the at most four shifts
-    that put an endpoint of c2 on an endpoint of c1 are dropped.  With
+    empty range is written [stop, stop); the at most four shifts that put
+    an endpoint of c2 on an endpoint of c1 are left out.  With
     ``self_pair`` only k >= 1 is kept (each self-crossing of an arc
     corresponds to one positive relative translate).
     """
@@ -84,22 +85,30 @@ def crossing_shifts(c1, c2, self_pair=False):
     p0, p1, p2, p3 = sorted((min(a0, a1), a1, min(b0, b1), b1))
     if self_pair:
         p0, p2 = max(p0, 1), max(p2, 1)
-    shifts = [*range(p0, p1), *range(p2, p3)]
-    if shifts:
-        shared = [(h1 - h) // SCALE for side, h in c2 for side1, h1 in c1
-                  if side == side1 and (h1 - h) % SCALE == 0]
-        shifts = [k for k in shifts if k not in shared]
-    return shifts
+    shared = {(h1 - h) // SCALE for side, h in c2 for side1, h1 in c1
+              if side == side1 and (h1 - h) % SCALE == 0}
+    return (range(p0, p1), range(p2, p3)), shared
+
+
+def crossing_shifts(c1, c2, self_pair=False):
+    """Translates k such that c2 shifted by k turns crosses c1, ascending."""
+    spans, shared = _shift_ranges(c1, c2, self_pair)
+    return [k for span in spans for k in span if k not in shared]
+
+
+def _count_shifts(c1, c2, self_pair):
+    (r1, r2), shared = _shift_ranges(c1, c2, self_pair)
+    return len(r1) + len(r2) - len([k for k in shared if k in r1 or k in r2])
 
 
 def count_crossings(c1, c2):
     """Minimal crossing number of two distinct arcs in the annulus."""
-    return len(crossing_shifts(c1, c2))
+    return _count_shifts(c1, c2, False)
 
 
 def count_self_crossings(c):
     """Minimal self-crossing number of one arc in the annulus."""
-    return len(crossing_shifts(c, c, self_pair=True))
+    return _count_shifts(c, c, True)
 
 
 def arc_class(c):
@@ -193,12 +202,12 @@ def segment_intersection(c1, c2):
     return ((n1 << KEY_BITS) // m1, (n2 << KEY_BITS) // m2, sign)
 
 
-def shifted_crossings(c1, c2, shifts):
-    """The crossings of c1 with c2 translated by each of ``shifts`` turns,
-    as :func:`segment_intersection` gives them; AssertionError if one does
-    not cross, which no shift from :func:`crossing_shifts` may do."""
+def shifted_crossings(c1, c2):
+    """The crossings of c1 with c2 at each of its :func:`crossing_shifts`
+    (each self-crossing once for c1 == c2), as :func:`segment_intersection`
+    gives them; AssertionError if a shift gives no crossing."""
     out = []
-    for k in shifts:
+    for k in crossing_shifts(c1, c2, self_pair=(c1 == c2)):
         hit = segment_intersection(c1, chord(*c2, 0, shift=k))
         if hit is None:
             raise AssertionError("chords %r and %r shifted by %d do not cross"

@@ -132,25 +132,20 @@ def _connector_chord(u, v, twist):
     return annulus.chord(PORTS[u], PORTS[v], twist + _base(u, v))
 
 
-def _word_crossings(chords, pairs, kept, crossed):
+def _word_crossings(chords, pairs, crossed):
     """The crossings of a word's chord pairs (i, j), i <= j, as
     :func:`_realize` takes them: ((i, key1), (j, key2), sign) from
-    :func:`annulus.shifted_crossings` at the pair's crossing shifts, with
-    the sign on the surface (frame sign times ORIENT).  ``crossed``
-    memoizes each chord pair's crossings; ``kept`` holds shift lists
-    computed already, each taken out when its pair is first met."""
+    :func:`annulus.shifted_crossings`, with the sign on the surface (frame
+    sign times ORIENT).  The connectors of one word share no port, so
+    only i == j pairs a chord with itself.  ``crossed`` memoizes each
+    chord pair's crossings."""
     out = []
     for i, j in pairs:
-        c1, c2 = pair = chords[i], chords[j]
-        got = crossed.get(pair)
-        if got is None:
-            shifts = kept.pop(pair, None)
-            if shifts is None:
-                shifts = annulus.crossing_shifts(c1, c2, self_pair=(i == j))
-            got = crossed[pair] = [
-                (key1, key2, sign * ORIENT) for key1, key2, sign
-                in annulus.shifted_crossings(c1, c2, shifts)]
-        out += [((i, k1), (j, k2), sign) for k1, k2, sign in got]
+        pair = chords[i], chords[j]
+        if pair not in crossed:
+            crossed[pair] = [(key1, key2, sign * ORIENT) for key1, key2, sign
+                             in annulus.shifted_crossings(*pair)]
+        out += [((i, k1), (j, k2), sign) for k1, k2, sign in crossed[pair]]
     return out
 
 
@@ -171,8 +166,9 @@ def _chords(curves):
 def self_intersection(curves):
     """Total crossings of the collection, all inside the annulus."""
     chords = _chords(curves)
-    return sum(len(annulus.crossing_shifts(ci, cj, self_pair=(ci == cj)))
-               for i, ci in enumerate(chords) for cj in chords[i:])
+    return (sum(map(annulus.count_self_crossings, chords))
+            + sum(annulus.count_crossings(ci, cj)
+                  for i, ci in enumerate(chords) for cj in chords[i + 1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ def word_to_map(curves):
     chords = _chords(curves)
     n = len(chords)
     crossings = _word_crossings(
-        chords, [(i, j) for i in range(n) for j in range(i, n)], {}, {})
+        chords, [(i, j) for i in range(n) for j in range(i, n)], {})
     if not crossings:
         raise WordError("collection has no crossings")
     try:
@@ -376,29 +372,25 @@ def _three_crossing_words(window):
     prefix is dropped as soon as the total exceeds three.
 
     The connector chords of every ordered pair of ports, and their
-    self-crossings, are computed once before the search.  The crossing
-    count of a chord pair is computed once per :func:`annulus.pair_class` key,
-    from the first pair met with that key, so the count table grows about
-    linearly with the window, not with the square of it.  Shift lists are
-    kept only for self-pairs and for the first pair of each key that
-    crosses, until a yielded word holds that pair; any other pair a yielded
-    word holds gets its shifts, and each pair its crossings, once.  The
-    tables last one call, and are freed when the search ends or is closed.
+    self-crossing counts, are computed once before the search.  The
+    crossing count of a chord pair is computed once per
+    :func:`annulus.pair_class` key, from the first pair met with that key,
+    so the count table grows about linearly with the window, not with the
+    square of it.  Only the chord pairs a yielded word holds get their
+    crossings, each once.  The tables last one call, and are freed when
+    the search ends or is closed.
     """
     # (exit port, entry port) -> its connectors in window order, as
     # (exponent, chord, arc class, self-crossings)
     options = {}
-    kept = {}     # (chord, chord) in curve order -> crossing shifts
     for u in PORTS:
         for v in PORTS:
             if u != v:
                 options[u, v] = got = []
                 for t in window:
                     c = _connector_chord(u, v, t)
-                    own = annulus.crossing_shifts(c, c, self_pair=True)
-                    if own:
-                        kept[c, c] = own
-                    got.append((t, c, annulus.arc_class(c), len(own)))
+                    got.append((t, c, annulus.arc_class(c),
+                                annulus.count_self_crossings(c)))
     counts = {}   # pair class key -> crossing count of its chord pairs
     crossed = {}  # (chord, chord) in curve order -> their crossings
     # a prefix: the closed curves, the open curve's letters, then
@@ -426,10 +418,7 @@ def _three_crossing_words(window):
                     if n is None:
                         # connectors of one word share no port, so these
                         # are no self-crossings
-                        got = annulus.crossing_shifts(placed[p], c)
-                        n = counts[key] = len(got)
-                        if got:
-                            kept[placed[p], c] = got
+                        n = counts[key] = annulus.count_crossings(placed[p], c)
                     if n:
                         more += n
                         if more > 3:
@@ -448,7 +437,7 @@ def _three_crossing_words(window):
                                       found, more))
                     elif more == 3:
                         yield word + (done,), chords, _word_crossings(
-                            chords, found, kept, crossed)
+                            chords, found, crossed)
 
 
 # The largest twist bound census() accepts.  The search's memory grows only

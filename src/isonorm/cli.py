@@ -188,11 +188,13 @@ def _cmd_norm(args):
 
 def _cmd_smooth(args):
     m, _ = _load_map(args.map)
-    if not (0 <= args.vertex < m.num_vertices):
-        raise DomainFailure("vertex %d out of range" % args.vertex)
+    try:
+        children = moves.smooth(m, args.vertex)
+    except ValueError as exc:
+        raise DomainFailure(str(exc))
     parts = []
     doc = {"children": []}
-    for i, child in enumerate(moves.smooth(m, args.vertex)):
+    for i, child in enumerate(children):
         if child.degenerate:
             parts.append("child %d: degenerate (%s)\n" % (i, child.reason))
             doc["children"].append({"degenerate": True,

@@ -117,30 +117,32 @@ class TestChordModel:
         c2 = chord(("L", 3), ("R", 6), -1)
         assert count_crossings(c1, c2) == count_crossings(c2, c1)
 
-    def test_crossing_shifts_match_scan_oracle(self):
-        ports = [(s, h) for s in "LR" for h in (2, 3, 4, 6, 8)]
-        chords = [chord(p, q, t) for p in ports for q in ports if p != q
-                  for t in range(-5, 6)]
+    @staticmethod
+    def match_scan_oracle(chords):
+        # the shift lists of every chord pair, and the counts, which
+        # annulus reads off the same ranges without listing them
         for c1 in chords:
             oracle = ScanOracle(c1)
-            assert crossing_shifts(c1, c1, self_pair=True) \
-                == oracle.shifts(c1, self_pair=True)
-            assert [c2 for c2 in chords
-                    if crossing_shifts(c1, c2) != oracle.shifts(c2)] == []
+            own = oracle.shifts(c1, self_pair=True)
+            assert crossing_shifts(c1, c1, self_pair=True) == own
+            assert count_self_crossings(c1) == len(own)
+            assert [c2 for c2, want in zip(chords, map(oracle.shifts, chords))
+                    if crossing_shifts(c1, c2) != want
+                    or c2 != c1 and count_crossings(c1, c2) != len(want)] \
+                == []
+
+    def test_crossing_shifts_match_scan_oracle(self):
+        ports = [(s, h) for s in "LR" for h in (2, 3, 4, 6, 8)]
+        self.match_scan_oracle([chord(p, q, t) for p in ports for q in ports
+                                if p != q for t in range(-5, 6)])
 
     def test_crossing_shifts_at_lattice_heights_match_scan_oracle(self):
         # at a height that is a multiple of SCALE, an endpoint on the
         # side that a one-sided chord does not touch gets an empty range
         # of inside shifts with first > stop, which must count as empty
         ports = [(s, h) for s in "LR" for h in (0, 4, 9)]
-        chords = [chord(p, q, t) for p in ports for q in ports if p != q
-                  for t in range(-2, 3)]
-        for c1 in chords:
-            oracle = ScanOracle(c1)
-            assert crossing_shifts(c1, c1, self_pair=True) \
-                == oracle.shifts(c1, self_pair=True)
-            assert [c2 for c2 in chords
-                    if crossing_shifts(c1, c2) != oracle.shifts(c2)] == []
+        self.match_scan_oracle([chord(p, q, t) for p in ports for q in ports
+                                if p != q for t in range(-2, 3)])
 
     def test_untwisted_disjoint_chords(self):
         c1 = chord(("L", 6), ("R", 6), 0)

@@ -3,7 +3,7 @@ import hashlib
 import re
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -414,19 +414,28 @@ class TestCensus:
     def test_crossing_shift_calls_grow_slowly(self, monkeypatch):
         # the counts are keyed by pair class, whose number grows about
         # linearly with the twist bound: doubling the bound at most
-        # doubles the crossing_shifts calls (a count of chord pairs would
-        # grow 2.49 times from bound 4 to bound 8)
-        real = annulus.crossing_shifts
-        calls = Counter()
+        # doubles the count_crossings calls (a count of chord pairs would
+        # grow 2.49 times from bound 4 to bound 8), and the crossing_shifts
+        # calls, one per chord pair a yielded word holds
+        real_count = annulus.count_crossings
+        real_shifts = annulus.crossing_shifts
+        counted = Counter()
+        listed = Counter()
+
+        def count_crossings(c1, c2):
+            counted[bound] += 1
+            return real_count(c1, c2)
 
         def crossing_shifts(c1, c2, self_pair=False):
-            calls[bound] += 1
-            return real(c1, c2, self_pair=self_pair)
+            listed[bound] += 1
+            return real_shifts(c1, c2, self_pair=self_pair)
 
+        monkeypatch.setattr(annulus, "count_crossings", count_crossings)
         monkeypatch.setattr(annulus, "crossing_shifts", crossing_shifts)
         for bound in (4, 8):
             assert len(run_census(bound)) == 4
-        assert 0 < calls[8] <= 2 * calls[4]
+        assert 0 < counted[8] <= 2 * counted[4]
+        assert 0 < listed[8] <= 2 * listed[4]
 
     def test_theorem_check_makes_one_lp_per_pair(self, monkeypatch):
         # the four balls and the intro polytope are symmetric, so each
@@ -643,6 +652,45 @@ class TestPairClass:
             annulus.chord(u, v, 3))
 
 
+# The letter model of the census words: a connector's twists go around the
+# core of the connecting annulus, which separates the surface, so in the
+# word model a curve's class is the signed sum of its letters, each letter
+# used once, and curves meet algebraically as their letters pair under the
+# symplectic form OMEGA.
+ARC_LETTERS = ("a1", "b1", "a2", "b2")
+OMEGA = {("a1", "b1"): 1, ("b1", "a1"): -1,
+         ("a2", "b2"): 1, ("b2", "a2"): -1}
+
+
+def signed_crossings(m):
+    """The signed crossing matrix between the distinct curves of
+    ``map_curves(m)``: +1 when curve j leaves a vertex on the germ after
+    curve i's outgoing germ in rotation order; self-crossings left out."""
+    strands = map_curves(m)
+    n = len(strands)
+    curve_of = {h: i for i, s in enumerate(strands) for h in s}
+    crossing = [[0] * n for _ in range(n)]
+    for g, i in curve_of.items():
+        j = curve_of.get(m.rotation[g])
+        if j is not None and j != i:
+            crossing[i][j] += 1
+            crossing[j][i] -= 1
+    return crossing
+
+
+def letter_model_matches(crossing, place, signs):
+    """The curve reversals under which the letters of ARC_LETTERS, each on
+    curve ``place[k]`` with sign ``signs[k]``, pair as ``crossing``."""
+    n = len(crossing)
+    pairing = [[0] * n for _ in range(n)]
+    for x, cx, sx in zip(ARC_LETTERS, place, signs):
+        for y, cy, sy in zip(ARC_LETTERS, place, signs):
+            pairing[cx][cy] += sx * sy * OMEGA.get((x, y), 0)
+    return sum(all(pairing[i][j] == flip[i] * flip[j] * crossing[i][j]
+                   for i in range(n) for j in range(n))
+               for flip in product((1, -1), repeat=n))
+
+
 class TestExhaustiveMaps:
     def test_six_classes_all_genus_two(self):
         reps = exhaustive_unicellular_maps()
@@ -729,45 +777,39 @@ class TestExhaustiveMaps:
         assert sorted(missed) == [[1, 1, 2, 2], [1, 2, 3]]
 
     def test_letter_model_reaches_four_classes(self):
-        # why the census misses two classes, from the maps alone: a
-        # connector's twists go around the core of the connecting annulus,
-        # which separates the surface, so in the word model a curve's class
-        # is the signed sum of its letters, each letter used once, and
-        # curves meet algebraically as their letters pair under the
-        # symplectic form.  Count the (letter assignment, curve reversal)
-        # pairs that give each map's signed crossing matrix
-        omega = {("a1", "b1"): 1, ("b1", "a1"): -1,
-                 ("a2", "b2"): 1, ("b2", "a2"): -1}
-        letters = ("a1", "b1", "a2", "b2")
+        # why the census misses two classes, from the maps alone (see
+        # OMEGA): count the (letter assignment, curve reversal) pairs that
+        # give each map's signed crossing matrix
         found = {}
         for m in exhaustive_unicellular_maps():
-            strands = map_curves(m)
-            n = len(strands)
-            curve_of = {h: i for i, s in enumerate(strands) for h in s}
-            # +1 when curve j leaves a vertex on the germ after curve i's
-            # outgoing germ in rotation order; self-crossings left out
-            crossing = [[0] * n for _ in range(n)]
-            for g, i in curve_of.items():
-                j = curve_of.get(m.rotation[g])
-                if j is not None and j != i:
-                    crossing[i][j] += 1
-                    crossing[j][i] -= 1
+            crossing = signed_crossings(m)
+            n = len(crossing)
             count = 0
             for place in product(range(n), repeat=4):
                 if len(set(place)) < n:  # every curve holds a letter
                     continue
                 for signs in product((1, -1), repeat=4):
-                    pairing = [[0] * n for _ in range(n)]
-                    for x, cx, sx in zip(letters, place, signs):
-                        for y, cy, sy in zip(letters, place, signs):
-                            pairing[cx][cy] += sx * sy * omega.get((x, y), 0)
-                    count += sum(
-                        all(pairing[i][j] == flip[i] * flip[j] * crossing[i][j]
-                            for i in range(n) for j in range(n))
-                        for flip in product((1, -1), repeat=n))
-            found[tuple(sorted(len(s) for s in strands))] = count
+                    count += letter_model_matches(crossing, place, signs)
+            found[tuple(sorted(len(s) for s in map_curves(m)))] = count
         assert found == {(1, 1, 4): 256, (1, 5): 256, (6,): 32, (2, 4): 256,
                          (1, 1, 2, 2): 0, (1, 2, 3): 0}
+
+    def test_census_words_are_letter_assignments(self, census_reps):
+        # each representative's own word, read as which curve holds each
+        # letter and with which sign, is one of the assignments counted
+        # above: under some bijection of its curves to the strands of its
+        # map, and some curve reversals, it gives the signed crossing
+        # matrix of that map
+        for build in census_reps:
+            crossing = signed_crossings(build.map)
+            held = {letter: (ci, sign) for ci, curve in enumerate(build.word)
+                    for letter, sign, _ in curve}
+            place, signs = zip(*(held[x] for x in ARC_LETTERS))
+            assert len(build.word) == len(crossing)
+            assert any(letter_model_matches(
+                crossing, [to_strand[ci] for ci in place], signs)
+                for to_strand in permutations(range(len(crossing)))), \
+                word_label(build.word)
 
 
 class TestSeparatingCycles:

@@ -254,8 +254,9 @@ class TestSmoothReduceParity:
             {"degenerate": False, "map": child}]}
 
     def test_smooth_bad_vertex_exits_one(self, capsys):
-        code, _, _ = run(capsys, "smooth", fx("census1.map"), "7")
+        code, _, err = run(capsys, "smooth", fx("census1.map"), "7")
         assert code == 1
+        assert err == "error: vertex 7 out of range\n"
 
     def test_reduce_one_faced_is_noop(self, capsys):
         code, out, _ = run(capsys, "reduce", fx("census4.map"))
