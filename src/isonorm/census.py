@@ -227,7 +227,7 @@ class Genus2Build:
 
         This fails exactly when two arcs share a map edge, in which case
         the per-arc walks coincide and do not span the homology.
-        :func:`census` ranks by this edge rule and certifies each class
+        :func:`_classes` ranks by this edge rule and certifies each class
         winner here; a test holds the rule against the form.
         """
         form = homology.intersection_form(self.map, self.walks)
@@ -253,7 +253,7 @@ def _realize(word, chords, crossings):
     word, in curve order; ``crossings`` holds one ((i, key1), (j, key2),
     sign) per crossing of chords i <= j, as :func:`_word_crossings` gives
     them.  :func:`word_to_map` computes them for every chord pair, and
-    :func:`census` takes those its search yields.  Raises _VertexFree when
+    :func:`_classes` takes those its search yields.  Raises _VertexFree when
     some curve has no crossing.
     """
     signs, conn_passages = passages(crossings, len(chords))
@@ -440,14 +440,40 @@ def _three_crossing_words(window):
                             chords, found, crossed)
 
 
-# The largest twist bound census() accepts.  The search's memory grows only
-# about linearly with the bound; its time is what the limit bounds.
+# The largest twist bound census() accepts.  The bound does not size the
+# search; the range is kept so that the CLI accepts the bounds it did.
 MAX_TWIST_BOUND = 16
+
+# The twists the census searches.  A wider window's candidates contain
+# these, so it gives the same classes and the same winner in each when
+# [-MAX_TWIST_BOUND, MAX_TWIST_BOUND] does, which a test and the CI floor
+# check: every accepted bound has the same census.
+WINDOW = range(-1, 2)
 
 
 def census(twist_bound=2):
-    """One-faced collections with all twists in [-bound, bound], for a
+    """The one-faced collection classes of the word model, for a twist
     bound from 2 to MAX_TWIST_BOUND.
+
+    The bound is checked and then unused: the census always searches the
+    twists in WINDOW, which give the same classes and representatives as
+    any window up to [-MAX_TWIST_BOUND, MAX_TWIST_BOUND].  Returns a list
+    of Genus2Build representatives sorted by curve count (descending),
+    each certified by its genus and basis checks.  These are the
+    one-faced classes the word model reaches, not all of them:
+    :func:`exhaustive_unicellular_maps` lists six classes, and the census
+    finds four.
+    """
+    if twist_bound < 2:
+        raise ValueError("twist_bound must be at least 2")
+    if twist_bound > MAX_TWIST_BOUND:
+        raise ValueError("twist_bound must be at most %d" % MAX_TWIST_BOUND)
+    return _classes(WINDOW)
+
+
+def _classes(window):
+    """The one-faced classes of the words with twists from ``window``,
+    each with its best candidate, as :func:`census` returns them.
 
     Searches the words with twists in the window for those with exactly
     three crossings (:func:`_three_crossing_words`) and realizes each
@@ -460,18 +486,8 @@ def census(twist_bound=2):
     of :meth:`Genus2Build.standard_basis`, held against the form by a
     test), then by label, and only the winner becomes a Genus2Build.
     The search's chord, count and crossing tables, which grow about
-    linearly with the bound, are freed when the call returns.  Returns a
-    list of Genus2Build representatives sorted by curve count
-    (descending), each certified by its genus and basis checks.
-    These are the one-faced classes the word model reaches, not all of
-    them: :func:`exhaustive_unicellular_maps` lists six classes, and the
-    census finds four.
+    linearly with the window, are freed when the call returns.
     """
-    if twist_bound < 2:
-        raise ValueError("twist_bound must be at least 2")
-    if twist_bound > MAX_TWIST_BOUND:
-        raise ValueError("twist_bound must be at most %d" % MAX_TWIST_BOUND)
-    window = range(-twist_bound, twist_bound + 1)
     found = {}
     keyed = {}  # (rotation, pairing) -> (map, canonical key)
     for word, chords, crossings in _three_crossing_words(window):

@@ -71,7 +71,7 @@ class TestCensusCount:
 
     def test_stable_at_bound_four(self, census_reps):
         from isonorm.maps import canonical_key
-        wide = census.census(twist_bound=4)
+        wide = census._classes(range(-4, 5))
         assert [canonical_key(b.map, allow_reflection=True) for b in wide] \
             == [canonical_key(b.map, allow_reflection=True)
                 for b in census_reps]

@@ -299,7 +299,8 @@ def _realize(build, word):
 
 
 class TestCensus:
-    @pytest.mark.parametrize("bound, count", [(2, 2581), (3, 3957)])
+    @pytest.mark.parametrize("bound, count", [(2, 2581), (3, 3957),
+                                              (1, 1047)])
     def test_search_matches_product_oracle(self, bound, count):
         # the same words, each found once; the order of the search does
         # not matter (see test_each_class_has_one_best_candidate)
@@ -381,7 +382,7 @@ class TestCensus:
         assert shift_args and max(shift_args.values()) == 1
         assert hits and max(hits.values()) == 1
         assert set(keyed) == single_face and max(keyed.values()) == 1
-        assert len(single_face) == 41
+        assert len(single_face) == 40
         # one map per distinct (rotation, pairing), and one intersection
         # form per class: the certificate of its winner's basis
         assert set(built) == single_face and max(built.values()) == 1
@@ -413,10 +414,10 @@ class TestCensus:
 
     def test_crossing_shift_calls_grow_slowly(self, monkeypatch):
         # the counts are keyed by pair class, whose number grows about
-        # linearly with the twist bound: doubling the bound at most
-        # doubles the count_crossings calls (a count of chord pairs would
-        # grow 2.49 times from bound 4 to bound 8), and the crossing_shifts
-        # calls, one per chord pair a yielded word holds
+        # linearly with the twist window: doubling the window's bound at
+        # most doubles the count_crossings calls (a count of chord pairs
+        # would grow 2.49 times from [-4, 4] to [-8, 8]), and the
+        # crossing_shifts calls, one per chord pair a yielded word holds
         real_count = annulus.count_crossings
         real_shifts = annulus.crossing_shifts
         counted = Counter()
@@ -433,7 +434,7 @@ class TestCensus:
         monkeypatch.setattr(annulus, "count_crossings", count_crossings)
         monkeypatch.setattr(annulus, "crossing_shifts", crossing_shifts)
         for bound in (4, 8):
-            assert len(run_census(bound)) == 4
+            assert len(census._classes(range(-bound, bound + 1))) == 4
         assert 0 < counted[8] <= 2 * counted[4]
         assert 0 < listed[8] <= 2 * listed[4]
 
@@ -479,10 +480,15 @@ class TestCensus:
             run_census(2)
 
     @pytest.mark.parametrize("bound, sizes", [(2, [87, 105, 248, 272]),
-                                              (3, [121, 141, 376, 400])])
-    def test_each_class_has_one_best_candidate(self, bound, sizes):
+                                              (3, [121, 141, 376, 400]),
+                                              (16, [537, 772, 1974, 2064])])
+    def test_each_class_has_one_best_candidate(self, bound, sizes,
+                                               census_reps):
         # no two candidates of a class tie on the census rank, so the
-        # representatives do not depend on the search order
+        # representatives do not depend on the search order; and the
+        # window [-bound, bound] has the census's classes, each won by
+        # the census's representative.  Its candidates contain those of
+        # census.WINDOW, so at bound 16 this holds at every bound up to 16
         ranked = defaultdict(list)  # class key -> (rank, candidate)
         for m, key, walks, word in one_faced_candidates(bound):
             rank = (not on_distinct_edges(m, walks), census._label(word))
@@ -495,10 +501,11 @@ class TestCensus:
             assert len(held) == 1
             winners.add(held[0])
         assert winners == {(b.word, b.map.rotation, b.map.pairing, b.walks)
-                           for b in run_census(bound)}
+                           for b in census_reps}
 
     @pytest.mark.parametrize("bound, funnel", [(2, (144, 1725, 712)),
-                                               (3, (240, 2679, 1038))])
+                                               (3, (240, 2679, 1038)),
+                                               (1, (48, 639, 360))])
     def test_one_face_test_matches_built_maps(self, bound, funnel):
         # every candidate, realized from the chords and crossings of
         # the search as the census does it, equals the uncached oracle's
@@ -567,15 +574,15 @@ class TestCensus:
     def test_pinned_representatives(self, capsys):
         # the canonical-key tests pin the classes; these digests also pin
         # the word, map and walks the census picks for each class: the
-        # sha256 of `isonorm --json census` at twist bound 2, and of the
-        # sorted (label, rotation, pairing, walks) at bounds 3 and 4
+        # sha256 of `isonorm --json census`, and of the sorted (label,
+        # rotation, pairing, walks) of the windows [-3, 3] and [-4, 4]
         assert cli.main(["--json", "census"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
             == CENSUS_JSON_SHA256
         for bound in (3, 4):
             reps = sorted((word_label(b.word), b.map.rotation,
                            b.map.pairing, b.walks)
-                          for b in run_census(bound))
+                          for b in census._classes(range(-bound, bound + 1)))
             assert hashlib.sha256(repr(reps).encode()).hexdigest() \
                 == REPRESENTATIVES_SHA256, bound
 
@@ -604,14 +611,15 @@ class TestCensus:
         assert computed[3] == GOLDEN_BALLS[3]
 
     def test_stable_when_window_grows(self, census_reps):
-        wider = run_census(twist_bound=3)
+        wider = census._classes(range(-3, 4))
         assert [canonical_key(b.map, allow_reflection=True) for b in wider] \
             == [canonical_key(b.map, allow_reflection=True)
                 for b in census_reps]
 
     def test_small_window_rejected(self):
-        # below 2 the window misses classes; above MAX_TWIST_BOUND the
-        # search only takes longer, for the same classes
+        # every bound gives the same census; the range from 2 to
+        # MAX_TWIST_BOUND is kept only so that the CLI accepts the bounds
+        # it always did
         for bound in (1, census.MAX_TWIST_BOUND + 1):
             with pytest.raises(ValueError):
                 run_census(twist_bound=bound)
@@ -689,6 +697,46 @@ def letter_model_matches(crossing, place, signs):
     return sum(all(pairing[i][j] == flip[i] * flip[j] * crossing[i][j]
                    for i in range(n) for j in range(n))
                for flip in product((1, -1), repeat=n))
+
+
+def curve_classes(m, walks):
+    """The class of each strand of ``map_curves(m)`` read against the
+    walks: its dual cocycle, +1 on a step that crosses the strand from
+    its right to its left, evaluated on each walk."""
+    out = []
+    for strand in map_curves(m):
+        cochain = [0] * m.n
+        for h in strand:
+            cochain[h] += 1
+            cochain[m.pairing[h]] -= 1
+        out.append(homology.class_of(m, cochain, walks))
+    return out
+
+
+def letter_class(letters):
+    """The signed sum of (letter, sign) pairs read against the census's
+    basis walks: walk i crosses only the arc of census.BASIS_SPEC[i],
+    once, along the arc's direction or against it as the spec says."""
+    return tuple(sum(sign for letter, sign in letters if letter == x)
+                 * (1 if along else -1) for x, along in census.BASIS_SPEC)
+
+
+def letter_assignment_holds(build, place, signs):
+    """Whether the letters of ARC_LETTERS, each on curve ``place[k]`` of
+    ``build.word`` with sign ``signs[k]``, give the map's signed crossing
+    matrix and each curve's class, under one bijection of the curves to
+    the strands of the map and some curve reversals."""
+    crossing = signed_crossings(build.map)
+    classes = curve_classes(build.map, build.walks)
+    n = len(crossing)
+    sums = [letter_class([(x, sign) for x, ci, sign
+                          in zip(ARC_LETTERS, place, signs) if ci == curve])
+            for curve in range(n)]
+    return any(
+        letter_model_matches(crossing, [to_strand[ci] for ci in place], signs)
+        and all(classes[to_strand[ci]] in (got, tuple(-x for x in got))
+                for ci, got in enumerate(sums))
+        for to_strand in permutations(range(n)))
 
 
 class TestExhaustiveMaps:
@@ -799,16 +847,19 @@ class TestExhaustiveMaps:
         # letter and with which sign, is one of the assignments counted
         # above: under some bijection of its curves to the strands of its
         # map, and some curve reversals, it gives the signed crossing
-        # matrix of that map
+        # matrix of that map, and each curve's class is the signed sum of
+        # its letters (the core of the annulus bounds, so its twists add
+        # nothing).  The classes pin the signs: of the 16 sign vectors,
+        # only the word's own and those its curve reversals give pass
         for build in census_reps:
-            crossing = signed_crossings(build.map)
             held = {letter: (ci, sign) for ci, curve in enumerate(build.word)
                     for letter, sign, _ in curve}
-            place, signs = zip(*(held[x] for x in ARC_LETTERS))
-            assert len(build.word) == len(crossing)
-            assert any(letter_model_matches(
-                crossing, [to_strand[ci] for ci in place], signs)
-                for to_strand in permutations(range(len(crossing)))), \
+            place, own = zip(*(held[x] for x in ARC_LETTERS))
+            assert len(build.word) == len(map_curves(build.map))
+            passing = [signs for signs in product((1, -1), repeat=4)
+                       if letter_assignment_holds(build, place, signs)]
+            assert own in passing, word_label(build.word)
+            assert len(passing) == 2 ** len(build.word), \
                 word_label(build.word)
 
 
