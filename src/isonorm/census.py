@@ -440,34 +440,24 @@ def _three_crossing_words(window):
                             chords, found, crossed)
 
 
-# The largest twist bound census() accepts.  The bound does not size the
-# search; the range is kept so that the CLI accepts the bounds it did.
-MAX_TWIST_BOUND = 16
-
 # The twists the census searches.  A wider window's candidates contain
 # these, so it gives the same classes and the same winner in each when
-# [-MAX_TWIST_BOUND, MAX_TWIST_BOUND] does, which a test and the CI floor
-# check: every accepted bound has the same census.
+# [-16, 16] does, which a test and the CI floor check: every twist bound
+# ``verify-theorem`` accepts has the same census.
 WINDOW = range(-1, 2)
 
 
-def census(twist_bound=2):
-    """The one-faced collection classes of the word model, for a twist
-    bound from 2 to MAX_TWIST_BOUND.
+def census():
+    """The one-faced collection classes of the word model.
 
-    The bound is checked and then unused: the census always searches the
-    twists in WINDOW, which give the same classes and representatives as
-    any window up to [-MAX_TWIST_BOUND, MAX_TWIST_BOUND].  Returns a list
-    of Genus2Build representatives sorted by curve count (descending),
-    each certified by its genus and basis checks.  These are the
-    one-faced classes the word model reaches, not all of them:
+    The census searches the twists in WINDOW, which give the same classes
+    and representatives as any window up to [-16, 16].  Returns a list of
+    Genus2Build representatives sorted by curve count (descending), each
+    certified by its genus and basis checks.  These are the one-faced
+    classes the word model reaches, not all of them:
     :func:`exhaustive_unicellular_maps` lists six classes, and the census
     finds four.
     """
-    if twist_bound < 2:
-        raise ValueError("twist_bound must be at least 2")
-    if twist_bound > MAX_TWIST_BOUND:
-        raise ValueError("twist_bound must be at most %d" % MAX_TWIST_BOUND)
     return _classes(WINDOW)
 
 
@@ -550,11 +540,11 @@ INTRO_POLYTOPE_VECTORS = (
     (1, 1, 1, 1), (1, -1, 1, 1), (-1, 1, 1, 1), (1, 1, -1, 1))
 
 
-def verify_main_theorem(twist_bound=2):
+def verify_main_theorem():
     """End-to-end check that no census dual ball lies in the eight-vertex
     family, while the intro polytope does.  The report is the JSON
     document of ``isonorm --json verify-theorem``."""
-    reps = census(twist_bound)
+    reps = census()
     balls = []
     for build in reps:
         ball = build.dual_ball()

@@ -369,7 +369,7 @@ class TestCensus:
         monkeypatch.setattr(census, "_realize", realize)
         monkeypatch.setattr(maps, "validate", validate)
         monkeypatch.setattr(homology, "intersection_form", intersection_form)
-        assert len(run_census(2)) == 4
+        assert len(run_census()) == 4
         built = Counter(validated)
         single_face = set()
         for rotation, pairing in realized:
@@ -392,7 +392,7 @@ class TestCensus:
         first = dict(shift_args), dict(hits)
         shift_args.clear()
         hits.clear()
-        assert len(run_census(2)) == 4
+        assert len(run_census()) == 4
         assert (dict(shift_args), dict(hits)) == first
 
     def test_search_tables_freed_on_return(self):
@@ -402,7 +402,7 @@ class TestCensus:
         gc.collect()
         gc.disable()
         try:
-            assert len(run_census(2)) == 4
+            assert len(run_census()) == 4
             assert gc.collect() < 100
             search = census._three_crossing_words(range(-2, 3))
             next(search)
@@ -451,7 +451,7 @@ class TestCensus:
             return real(point, points)
 
         monkeypatch.setattr(polytope, "in_convex_hull", in_convex_hull)
-        assert verify_main_theorem(2)["pass"]
+        assert verify_main_theorem()["pass"]
         assert len(calls) == 28
 
     @pytest.mark.parametrize("bound, counts", [(2, (712, 709)),
@@ -477,7 +477,7 @@ class TestCensus:
         label = word_label(census_reps[0].word)
         with pytest.raises(AssertionError,
                            match=re.escape(label + " has no standard basis")):
-            run_census(2)
+            run_census()
 
     @pytest.mark.parametrize("bound, sizes", [(2, [87, 105, 248, 272]),
                                               (3, [121, 141, 376, 400]),
@@ -615,14 +615,6 @@ class TestCensus:
         assert [canonical_key(b.map, allow_reflection=True) for b in wider] \
             == [canonical_key(b.map, allow_reflection=True)
                 for b in census_reps]
-
-    def test_small_window_rejected(self):
-        # every bound gives the same census; the range from 2 to
-        # MAX_TWIST_BOUND is kept only so that the CLI accepts the bounds
-        # it always did
-        for bound in (1, census.MAX_TWIST_BOUND + 1):
-            with pytest.raises(ValueError):
-                run_census(twist_bound=bound)
 
     def test_curve_counts(self, census_reps):
         assert [len(map_curves(b.map)) for b in census_reps] == [3, 2, 2, 1]
