@@ -57,7 +57,7 @@ def _inside(c1, side):
     return (None, h1 if side == s1 else h2)
 
 
-def _shift_ranges(c1, c2, self_pair):
+def _shift_ranges(c1, c2):
     """Two ranges of shifts k, and a set of k to leave out of them, such
     that c2 shifted by k turns crosses c1 for the k that remain.
 
@@ -68,9 +68,9 @@ def _shift_ranges(c1, c2, self_pair):
     [first, stop) of k.  The symmetric difference of two such ranges is
     [p0, p1) and [p2, p3) for their four ends in ascending order, once an
     empty range is written [stop, stop); the at most four shifts that put
-    an endpoint of c2 on an endpoint of c1 are left out.  With
-    ``self_pair`` only k >= 1 is kept (each self-crossing of an arc
-    corresponds to one positive relative translate).
+    an endpoint of c2 on an endpoint of c1 are left out.  For c1 == c2
+    only k >= 1 is kept (each self-crossing of an arc corresponds to one
+    positive relative translate).
     """
     ranges = []
     for side, h in c2:
@@ -83,32 +83,30 @@ def _shift_ranges(c1, c2, self_pair):
         # their symmetric difference starts at the lower stop
         a0 = b0 = min(a1, b1)
     p0, p1, p2, p3 = sorted((min(a0, a1), a1, min(b0, b1), b1))
-    if self_pair:
+    if c1 == c2:
         p0, p2 = max(p0, 1), max(p2, 1)
     shared = {(h1 - h) // SCALE for side, h in c2 for side1, h1 in c1
               if side == side1 and (h1 - h) % SCALE == 0}
     return (range(p0, p1), range(p2, p3)), shared
 
 
-def crossing_shifts(c1, c2, self_pair=False):
-    """Translates k such that c2 shifted by k turns crosses c1, ascending."""
-    spans, shared = _shift_ranges(c1, c2, self_pair)
+def crossing_shifts(c1, c2):
+    """Translates k such that c2 shifted by k turns crosses c1, ascending;
+    for c1 == c2 each self-crossing once, at its shift k >= 1."""
+    spans, shared = _shift_ranges(c1, c2)
     return [k for span in spans for k in span if k not in shared]
 
 
-def _count_shifts(c1, c2, self_pair):
-    (r1, r2), shared = _shift_ranges(c1, c2, self_pair)
-    return len(r1) + len(r2) - len([k for k in shared if k in r1 or k in r2])
-
-
 def count_crossings(c1, c2):
-    """Minimal crossing number of two distinct arcs in the annulus."""
-    return _count_shifts(c1, c2, False)
+    """Minimal crossing number of two arcs in the annulus, or the
+    self-crossing number of one arc for c1 == c2."""
+    (r1, r2), shared = _shift_ranges(c1, c2)
+    return len(r1) + len(r2) - len([k for k in shared if k in r1 or k in r2])
 
 
 def count_self_crossings(c):
     """Minimal self-crossing number of one arc in the annulus."""
-    return _count_shifts(c, c, True)
+    return count_crossings(c, c)
 
 
 def arc_class(c):
@@ -207,7 +205,7 @@ def shifted_crossings(c1, c2):
     (each self-crossing once for c1 == c2), as :func:`segment_intersection`
     gives them; AssertionError if a shift gives no crossing."""
     out = []
-    for k in crossing_shifts(c1, c2, self_pair=(c1 == c2)):
+    for k in crossing_shifts(c1, c2):
         hit = segment_intersection(c1, chord(*c2, 0, shift=k))
         if hit is None:
             raise AssertionError("chords %r and %r shifted by %d do not cross"

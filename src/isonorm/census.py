@@ -245,18 +245,18 @@ class _VertexFree(Exception):
     curve's index is ``args[0]``."""
 
 
-def _realize(word, chords, crossings):
+def _realize(word, crossings):
     """The rotation, pairing and basis walks of a word, before any map
     object is built.
 
-    ``chords`` lists the chord of the connector after each letter of the
-    word, in curve order; ``crossings`` holds one ((i, key1), (j, key2),
-    sign) per crossing of chords i <= j, as :func:`_word_crossings` gives
-    them.  :func:`word_to_map` computes them for every chord pair, and
-    :func:`_classes` takes those its search yields.  Raises _VertexFree when
-    some curve has no crossing.
+    Chord i is the connector after letter i of the word, in curve order;
+    ``crossings`` holds one ((i, key1), (j, key2), sign) per crossing of
+    chords i <= j, as :func:`_word_crossings` gives them.
+    :func:`word_to_map` computes them for every chord pair, and
+    :func:`_classes` takes those its search yields.  Raises _VertexFree
+    when some curve has no crossing.
     """
-    signs, conn_passages = passages(crossings, len(chords))
+    signs, conn_passages = passages(crossings, sum(map(len, word)))
 
     # each curve's strand of passages; an arc lies on the edge that ends
     # at the first passage after it
@@ -297,7 +297,7 @@ def word_to_map(curves):
     if not crossings:
         raise WordError("collection has no crossings")
     try:
-        rotation, pairing, walks = _realize(curves, chords, crossings)
+        rotation, pairing, walks = _realize(curves, crossings)
     except _VertexFree as exc:
         raise WordError(
             "curve %s has no crossings (vertex-free component)"
@@ -358,8 +358,8 @@ def _perfect_matchings(items):
 
 def _three_crossing_words(window):
     """Words with twists from ``window`` whose connectors cross exactly
-    three times, as (word, chords, crossings): the word's connector chords
-    in curve order and their crossings as :func:`_realize` takes them.
+    three times, as (word, crossings): the crossings of the word's
+    connector chords as :func:`_realize` takes them.
 
     One depth-first search builds each word connector by connector.  A
     curve starts at the first unused letter of LETTERS, along its arc's
@@ -436,7 +436,7 @@ def _three_crossing_words(window):
                                       rest[1:], chords, classes + (arc,),
                                       found, more))
                     elif more == 3:
-                        yield word + (done,), chords, _word_crossings(
+                        yield word + (done,), _word_crossings(
                             chords, found, crossed)
 
 
@@ -467,7 +467,7 @@ def _classes(window):
 
     Searches the words with twists in the window for those with exactly
     three crossings (:func:`_three_crossing_words`) and realizes each
-    from the chords and crossings the search found (:func:`_realize`,
+    from the crossings the search found (:func:`_realize`,
     which :func:`word_to_map` shares).  Only a one-faced candidate gets its
     canonical word and label, and each distinct (rotation, pairing)
     becomes one validated map with one canonical key.  The maps are
@@ -480,9 +480,9 @@ def _classes(window):
     """
     found = {}
     keyed = {}  # (rotation, pairing) -> (map, canonical key)
-    for word, chords, crossings in _three_crossing_words(window):
+    for word, crossings in _three_crossing_words(window):
         try:
-            rotation, pairing, walks = _realize(word, chords, crossings)
+            rotation, pairing, walks = _realize(word, crossings)
         except _VertexFree:
             continue
         if not one_faced(rotation, pairing):

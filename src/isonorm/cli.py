@@ -15,6 +15,11 @@ import sys
 
 from . import census, coorient, homology, maps, moves, polytope, torus
 
+# the most vertices a map from ``realize-torus --emit-map`` may have; on
+# a 2-core machine a map of 100,000 takes 10 s and 160 MB, and both grow
+# linearly with the vertex count
+MAX_MAP_VERTICES = 100_000
+
 
 class ParseFailure(Exception):
     """Bad input file (exit 2)."""
@@ -241,6 +246,13 @@ def _cmd_realize_torus(args):
     text = "\n".join(lines) + "\n"
     doc = {"families": [[list(c), m] for c, m in collection.families]}
     if args.emit_map:
+        # one vertex per crossing; torus_norm(collection, c) counts the
+        # crossings on one copy of c, so the sum counts each one twice
+        size = sum(m * torus.torus_norm(collection, c)
+                   for c, m in collection.families) // 2
+        if size > MAX_MAP_VERTICES:
+            raise DomainFailure("the map would have %d vertices, more than "
+                                "%d" % (size, MAX_MAP_VERTICES))
         realized = torus.realize_map(collection)
         if realized is None:
             text += "# no map: fewer than two distinct classes\n"

@@ -221,8 +221,7 @@ class HomologyBasis:
     intersection form is unimodular.
     """
 
-    def __init__(self, m, walks):
-        self.map = m
+    def __init__(self, walks):
         self.walks = tuple(tuple(w) for w in walks)
 
     def __len__(self):
@@ -308,7 +307,7 @@ def homology_basis(m):
         # tree-like dual graph: only possible on the sphere (empty basis)
         if g != 0:
             raise AssertionError("tree-like dual graph on genus %d" % g)
-        return HomologyBasis(m, ())
+        return HomologyBasis(())
     divisors, uinv = smith_normal_form(_vertex_boundaries(m, nontree))
     rank = len(divisors)
     if any(x != 1 for x in divisors):
@@ -327,7 +326,7 @@ def homology_basis(m):
                 w.extend(piece)
         walks.append(tuple(w))
     _check_unimodular(m, walks)
-    return HomologyBasis(m, walks)
+    return HomologyBasis(walks)
 
 
 def _check_unimodular(m, walks):

@@ -32,11 +32,11 @@ from . import homology, coorient
 
 
 class Child:
-    """One reconnection of a smoothing."""
+    """One reconnection of a smoothing; degenerate when it has no map."""
 
-    def __init__(self, map_, degenerate, reason, step_transport):
+    def __init__(self, map_, reason, step_transport):
         self.map = map_
-        self.degenerate = degenerate
+        self.degenerate = map_ is None
         self.reason = reason
         self.step_transport = step_transport  # parent half-edge -> child
 
@@ -95,12 +95,11 @@ def _chains(pairing, germs, idx):
 def _reconnect(m, vertex, idx):
     """Child ``idx`` of the smoothing at the vertex."""
     if m.num_vertices == 1:
-        return Child(None, True, "child has no vertices", None)
+        return Child(None, "child has no vertices", None)
     germs = m.vertices[vertex]
     chains = _chains(m.pairing, germs, idx)
     if chains is None:
-        return Child(None, True, "smoothing produces a vertex-free loop",
-                     None)
+        return Child(None, "smoothing produces a vertex-free loop", None)
     chain_end, traversed_as = chains
     pairing = list(m.pairing)
     for g, t in chain_end.items():
@@ -109,7 +108,7 @@ def _reconnect(m, vertex, idx):
     try:
         child, relabel = _compact(m, pairing, gone)
     except InvalidMap as exc:
-        return Child(None, True, str(exc), None)
+        return Child(None, str(exc), None)
 
     # step transport: a parent step at germ q (crossing right-to-left of q)
     # maps to the child germ whose chain traverses edge(q) in q's
@@ -118,7 +117,7 @@ def _reconnect(m, vertex, idx):
     for q, start in traversed_as.items():
         transport[q] = relabel[start]
         transport[m.pairing[q]] = relabel[chain_end[start]]
-    return Child(child, False, None, transport)
+    return Child(child, None, transport)
 
 
 def _compact(m, pairing, gone):

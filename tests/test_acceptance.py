@@ -17,7 +17,7 @@ from isonorm.maps import curves as map_curves, validate
 from isonorm.polytope import convex_hull, in_convex_hull, support
 
 from _helpers import (EVEN_F2, FIGURE_EIGHT, GOLDEN_BALLS, INTRO_VECTORS,
-                      REDUCIBLE_F3, TORUS_CROSS, WORDS, brute_force_eulerian,
+                      REDUCIBLE_F3, TORUS_CROSS, brute_force_eulerian,
                       det_fraction, hull_vertices_oracle,
                       one_faced_ball_oracle, random_valid_map)
 
@@ -25,18 +25,8 @@ SMALL_FIXTURES = [FIGURE_EIGHT, TORUS_CROSS, REDUCIBLE_F3, EVEN_F2]
 
 
 @pytest.fixture(scope="module")
-def golden_builds():
-    return [census.word_to_map(w) for w in WORDS]
-
-
-@pytest.fixture(scope="module")
-def census_reps():
-    return census.census()
-
-
-@pytest.fixture(scope="module")
-def golden_ball_polytopes(golden_builds):
-    return [b.dual_ball() for b in golden_builds]
+def golden_ball_polytopes(census_builds):
+    return [b.dual_ball() for b in census_builds]
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +39,8 @@ class TestGoldenDualBalls:
         assert set(golden_ball_polytopes[i].vertices) == GOLDEN_BALLS[i]
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3])
-    def test_matches_one_face_oracle(self, golden_builds, i):
-        build = golden_builds[i]
+    def test_matches_one_face_oracle(self, census_builds, i):
+        build = census_builds[i]
         assert one_faced_ball_oracle(build.map, build.walks) == \
             GOLDEN_BALLS[i]
 
@@ -101,8 +91,8 @@ class TestMainTheorem:
 # ---------------------------------------------------------------------------
 
 class TestOracleEquivalence:
-    def test_enumeration_matches_brute_force(self, golden_builds):
-        fixtures = SMALL_FIXTURES + [b.map for b in golden_builds]
+    def test_enumeration_matches_brute_force(self, census_builds):
+        fixtures = SMALL_FIXTURES + [b.map for b in census_builds]
         for m in fixtures:
             assert m.num_edges <= 12
             fast = {nu.designated for nu in coorient.enumerate_eulerian(m)}
@@ -121,9 +111,9 @@ class TestOracleEquivalence:
 # ---------------------------------------------------------------------------
 
 class TestSmoothingUnion:
-    def test_class_set_and_hull_equality(self, golden_builds):
+    def test_class_set_and_hull_equality(self, census_builds):
         applicable = 0
-        for build in golden_builds:
+        for build in census_builds:
             for v in range(build.map.num_vertices):
                 ok, holds, detail = moves.eulco_union_check(
                     build.map, v, build.walks)
@@ -150,8 +140,8 @@ class TestClassSetInvariants:
             assert tuple(-x for x in v) in classes
             assert all((x - y) % 2 == 0 for x, y in zip(v, base))
 
-    def test_fixtures(self, golden_builds):
-        for m in SMALL_FIXTURES + [b.map for b in golden_builds]:
+    def test_fixtures(self, census_builds):
+        for m in SMALL_FIXTURES + [b.map for b in census_builds]:
             self.check(m)
 
     def test_random_maps(self, rng):
@@ -209,8 +199,8 @@ class TestNormAxioms:
 
 class TestStructuralInvariants:
     def test_one_faced_genus_two_maps_have_three_vertices(
-            self, golden_builds, census_reps):
-        for build in golden_builds + census_reps:
+            self, census_builds, census_reps):
+        for build in census_builds + census_reps:
             m = build.map
             assert len(m.faces) == 1
             assert m.genus == 2

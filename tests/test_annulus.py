@@ -1,6 +1,6 @@
 import pytest
 
-from isonorm import annulus
+from isonorm import annulus, census
 from isonorm.annulus import (KEY_BITS, chord, count_crossings,
                              count_self_crossings, crossing_shifts,
                              segment_intersection)
@@ -120,16 +120,16 @@ class TestChordModel:
     @staticmethod
     def match_scan_oracle(chords):
         # the shift lists of every chord pair, and the counts, which
-        # annulus reads off the same ranges without listing them
+        # annulus reads off the same ranges without listing them; a chord
+        # paired with itself gets the oracle's self list
         for c1 in chords:
             oracle = ScanOracle(c1)
-            own = oracle.shifts(c1, self_pair=True)
-            assert crossing_shifts(c1, c1, self_pair=True) == own
-            assert count_self_crossings(c1) == len(own)
-            assert [c2 for c2, want in zip(chords, map(oracle.shifts, chords))
+            assert count_self_crossings(c1) == len(
+                oracle.shifts(c1, self_pair=True))
+            assert [c2 for c2 in chords
+                    for want in [oracle.shifts(c2, self_pair=c2 == c1)]
                     if crossing_shifts(c1, c2) != want
-                    or c2 != c1 and count_crossings(c1, c2) != len(want)] \
-                == []
+                    or count_crossings(c1, c2) != len(want)] == []
 
     def test_crossing_shifts_match_scan_oracle(self):
         ports = [(s, h) for s in "LR" for h in (2, 3, 4, 6, 8)]
@@ -162,6 +162,18 @@ class TestChordModel:
             c = chord(("L", 6), ("R", 3), t)
             assert count_self_crossings(c) == 0
 
+    def test_chord_paired_with_itself_counts_self_crossings(self):
+        # whether a pair is a self-pair is read from the pair: every
+        # connector chord of the census with twists in [-3, 3] counts
+        # its self-crossings once, each at one shift k >= 1
+        chords = [census._connector_chord(u, v, t) for u in census.PORTS
+                  for v in census.PORTS if u != v for t in range(-3, 4)]
+        assert len(chords) == 392
+        assert [c for c in chords
+                if count_crossings(c, c) != count_self_crossings(c)
+                or min(crossing_shifts(c, c), default=1) < 1] == []
+        assert sum(map(count_self_crossings, chords)) > 0
+
     def test_shift_translates_whole_chord(self):
         c = chord(("L", 6), ("R", 3), 1, shift=2)
         assert c[0][1] == 6 + 2 * annulus.SCALE
@@ -179,7 +191,7 @@ class TestChordModel:
                     continue
                 for t1 in range(-2, 3):
                     c1 = chord(p1, q1, t1)
-                    shifts = crossing_shifts(c1, c1, self_pair=True)
+                    shifts = crossing_shifts(c1, c1)
                     assert set(shifts) <= set(window)
                     assert shifts == [
                         k for k in window if k >= 1 and segment_intersection(
@@ -187,12 +199,13 @@ class TestChordModel:
                     for p2 in ports:
                         for q2 in ports:
                             for t2 in (-1, 0, 1):
-                                shifts = crossing_shifts(
-                                    c1, chord(p2, q2, t2))
+                                c2 = chord(p2, q2, t2)
+                                shifts = crossing_shifts(c1, c2)
                                 assert set(shifts) <= set(window)
                                 assert shifts == [
                                     k for k in window
-                                    if segment_intersection(
+                                    if (k >= 1 or c2 != c1)
+                                    and segment_intersection(
                                         c1, chord(p2, q2, t2, shift=k))
                                     is not None]
 

@@ -32,11 +32,6 @@ REPRESENTATIVES_SHA256 = \
 NEG_WORD = ((("a1", 1, 0), ("a2", -1, 0)), (("b1", 1, 0), ("b2", 1, 0)))
 
 
-@pytest.fixture(scope="module")
-def census_reps():
-    return run_census()
-
-
 class TestWords:
     def test_reverse_curve_is_involutive(self):
         for word in WORDS:
@@ -229,8 +224,7 @@ def word_to_map_oracle(curves):
     crossings = []
     for i, ci in enumerate(chords):
         for j in range(i, len(chords)):
-            for k in annulus.crossing_shifts(ci, chords[j],
-                                             self_pair=(i == j)):
+            for k in annulus.crossing_shifts(ci, chords[j]):
                 hit = segment_intersection_oracle(
                     ci, annulus.chord(*chords[j], 0, shift=k))
                 if hit is None:
@@ -269,11 +263,10 @@ def one_faced_candidates(twist_bound):
     """(map, canonical key, walks, canonical word) of every one-faced
     candidate of the census search at a twist bound, in search order."""
     keys = {}
-    for word, chords, crossings in census._three_crossing_words(
+    for word, crossings in census._three_crossing_words(
             range(-twist_bound, twist_bound + 1)):
         try:
-            rotation, pairing, walks = census._realize(word, chords,
-                                                       crossings)
+            rotation, pairing, walks = census._realize(word, crossings)
         except census._VertexFree:
             continue
         if not one_faced(rotation, pairing):
@@ -305,7 +298,7 @@ class TestCensus:
         # the same words, each found once; the order of the search does
         # not matter (see test_each_class_has_one_best_candidate)
         window = range(-bound, bound + 1)
-        found = [word for word, _, _ in census._three_crossing_words(window)]
+        found = [word for word, _ in census._three_crossing_words(window)]
         assert len(found) == len(set(found)) == count
         assert sorted(found) == sorted(product_oracle(bound))
 
@@ -315,7 +308,7 @@ class TestCensus:
             return b.map.rotation, b.map.pairing, b.walks, b.word
 
         outcomes = Counter()
-        for word, _, _ in census._three_crossing_words(range(-2, 3)):
+        for word, _ in census._three_crossing_words(range(-2, 3)):
             got = _realize(built, word)
             assert got == _realize(word_to_map_oracle, word), word
             outcomes[isinstance(got[0], type)] += 1
@@ -336,9 +329,9 @@ class TestCensus:
         formed = Counter()
         realized = set()
 
-        def crossing_shifts(c1, c2, self_pair=False):
-            shift_args[c1, c2, self_pair] += 1
-            return real_shifts(c1, c2, self_pair=self_pair)
+        def crossing_shifts(c1, c2):
+            shift_args[c1, c2] += 1
+            return real_shifts(c1, c2)
 
         def segment_intersection(c1, c2):
             # c2 is a translate, so it names the chord pair and the shift
@@ -357,8 +350,8 @@ class TestCensus:
             formed[m.rotation, m.pairing, tuple(basis)] += 1
             return real_form(m, basis)
 
-        def realize(word, chords, crossings):
-            rotation, pairing, walks = real_realize(word, chords, crossings)
+        def realize(word, crossings):
+            rotation, pairing, walks = real_realize(word, crossings)
             realized.add((rotation, pairing))
             return rotation, pairing, walks
 
@@ -427,9 +420,9 @@ class TestCensus:
             counted[bound] += 1
             return real_count(c1, c2)
 
-        def crossing_shifts(c1, c2, self_pair=False):
+        def crossing_shifts(c1, c2):
             listed[bound] += 1
-            return real_shifts(c1, c2, self_pair=self_pair)
+            return real_shifts(c1, c2)
 
         monkeypatch.setattr(annulus, "count_crossings", count_crossings)
         monkeypatch.setattr(annulus, "crossing_shifts", crossing_shifts)
@@ -507,25 +500,24 @@ class TestCensus:
                                                (3, (240, 2679, 1038)),
                                                (1, (48, 639, 360))])
     def test_one_face_test_matches_built_maps(self, bound, funnel):
-        # every candidate, realized from the chords and crossings of
-        # the search as the census does it, equals the uncached oracle's
+        # every candidate, realized from the crossings of the search
+        # as the census does it, equals the uncached oracle's
         # realization of its word; the census drops a candidate on the
         # raw one-face test, and built as a map a candidate has one face
         # exactly when the test passes
         outcomes = Counter()
-        for word, chords, crossings in census._three_crossing_words(
+        for word, crossings in census._three_crossing_words(
                 range(-bound, bound + 1)):
             expected = _realize(word_to_map_oracle, word)
             if expected[0] is WordError:
                 with pytest.raises(census._VertexFree):
-                    census._realize(word, chords, crossings)
+                    census._realize(word, crossings)
                 with pytest.raises(WordError) as exc:
                     word_to_map(word)
                 assert str(exc.value) == expected[1]
                 outcomes["word error"] += 1
                 continue
-            rotation, pairing, walks = census._realize(word, chords,
-                                                       crossings)
+            rotation, pairing, walks = census._realize(word, crossings)
             try:
                 m = CombinatorialMap(rotation, pairing)
             except InvalidMap as exc:  # disconnected
@@ -545,8 +537,8 @@ class TestCensus:
         # integer floors of the oracle's exact parameters, and along each
         # chord the keys sort as the parameters do
         pairs = {}  # (chord, chord) -> their crossings
-        for _, chords, crossings in census._three_crossing_words(
-                range(-3, 4)):
+        for word, crossings in census._three_crossing_words(range(-3, 4)):
+            chords = census._chords(word)
             met = defaultdict(list)
             for (i, k1), (j, k2), sign in crossings:
                 met[chords[i], chords[j]].append((k1, k2, sign))
@@ -556,8 +548,7 @@ class TestCensus:
         for (c1, c2), found in pairs.items():
             exact = [segment_intersection_oracle(
                          c1, annulus.chord(*c2, 0, shift=k))
-                     for k in annulus.crossing_shifts(c1, c2,
-                                                      self_pair=c1 == c2)]
+                     for k in annulus.crossing_shifts(c1, c2)]
             assert [(k1, k2, sign * census.ORIENT)
                     for k1, k2, sign in found] \
                 == [(floor_key(t1), floor_key(t2), sign)

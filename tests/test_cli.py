@@ -420,6 +420,32 @@ class TestRealizeTorus:
         code, _, _ = run(capsys, "realize-torus", fx("intro.poly"))
         assert code == 1
 
+    def test_map_above_the_size_limit_is_not_built(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # the rectangle (+-1, +-N) is N copies of (1, 0) and one of
+        # (0, 1), whose map has N vertices; it is refused before any
+        # curve is laid out
+        built = []
+        monkeypatch.setattr(torus, "realize_map", built.append)
+        poly = tmp_path / "rectangle.poly"
+        poly.write_text("1 %d\n-1 %d\n-1 -%d\n1 -%d\n" % ((10 ** 9,) * 4))
+        code, out, err = run(capsys, "realize-torus", str(poly), "--emit-map")
+        assert (code, out, built) == (1, "", [])
+        assert err == ("error: the map would have 1000000000 vertices, "
+                       "more than 100000\n")
+
+    def test_map_at_the_size_limit_is_built(self, capsys, tmp_path,
+                                            monkeypatch):
+        # two classes of determinant 3, with 2 and 3 copies: 18 vertices
+        poly = tmp_path / "parallelogram.poly"
+        poly.write_text("-4 -5\n8 1\n-8 -1\n4 5\n")
+        for limit, want in ((18, 0), (17, 1)):
+            monkeypatch.setattr(cli, "MAX_MAP_VERTICES", limit)
+            code, out, _ = run(capsys, "realize-torus", str(poly),
+                               "--emit-map")
+            assert code == want
+            assert ("(1,-2) x 3\n(1,1) x 2\nmap V=18\n" in out) == (code == 0)
+
     @pytest.mark.parametrize("emit_map", [[], ["--emit-map"]])
     def test_points_outside_the_plane_make_no_lp(self, capsys, tmp_path, rng,
                                                  monkeypatch, emit_map):

@@ -2,13 +2,13 @@ from math import atan2
 
 import pytest
 
-from isonorm import census, coorient, homology, moves, polytope
+from isonorm import coorient, homology, moves, polytope
 from isonorm.coorient import (CoOrientation, enumerate_eulerian,
                               eulco_classes, is_eulerian, vertex_type)
 from isonorm.maps import curves
 from isonorm.torus import TorusCollection, realize_map
 
-from _helpers import (BALL2, FIGURE_EIGHT, REDUCIBLE_F3, TORUS_CROSS, WORDS,
+from _helpers import (BALL2, FIGURE_EIGHT, REDUCIBLE_F3, TORUS_CROSS,
                       brute_force_eulerian, from_curve_orientations,
                       random_valid_map)
 
@@ -19,11 +19,6 @@ def torus_map(families):
 
 def oracle_classes(m, walks):
     return enumerate_eulerian(m).classes(walks)
-
-
-@pytest.fixture(scope="module")
-def census_builds():
-    return [census.word_to_map(w) for w in WORDS]
 
 
 class TestIsEulerian:

@@ -1,23 +1,21 @@
+import random
 import signal
 from functools import reduce
 from math import gcd
 
 import pytest
 
-from isonorm import census, coorient, homology
+from isonorm import coorient, homology
 from isonorm.homology import (class_of, coboundary, evaluate,
-                              homology_basis, intersection_form,
-                              smith_normal_form, vertex_circle)
+                              homology_basis, integer_inverse,
+                              intersection_form, smith_normal_form,
+                              vertex_circle)
+from isonorm.maps import CombinatorialMap
 from isonorm.torus import TorusCollection, realize_map
 
 from _helpers import (STANDARD_SYMPLECTIC, TORUS_CROSS, TORUS_FAMILIES,
-                      WORDS, det_fraction, determinantal_divisors, matmul,
+                      det_fraction, determinantal_divisors, matmul,
                       random_valid_map)
-
-
-@pytest.fixture(scope="module")
-def census_builds():
-    return [census.word_to_map(w) for w in WORDS]
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +172,66 @@ class TestHomologyBasis:
     def test_deterministic(self, census_builds):
         m = census_builds[0].map
         assert homology_basis(m).walks == homology_basis(m).walks
+
+
+def relabelled(m, rng):
+    """A copy of m with its half-edges renamed at random, and the
+    renaming as a list from old id to new id."""
+    perm = list(range(m.n))
+    rng.shuffle(perm)
+    rotation, pairing = [0] * m.n, [0] * m.n
+    for h in range(m.n):
+        rotation[perm[h]] = perm[m.rotation[h]]
+        pairing[perm[h]] = perm[m.pairing[h]]
+    return CombinatorialMap(rotation, pairing), perm
+
+
+class TestChangeOfBasis:
+    """The class set does not rest on one basis.  For bases A and B of
+    H_1, with Q the intersection form of A and X the intersections of B
+    with A, B = M A in homology for M = X Q^-1, so every class vector
+    taken on B is M times the vector taken on A."""
+
+    @staticmethod
+    def check_law(m, a, b):
+        """The change of basis M from walks a to walks b, once the class
+        set on b is M applied to the class set on a."""
+        form = intersection_form(m, tuple(a) + tuple(b))
+        k = len(a)
+        q = [row[:k] for row in form[:k]]
+        x = [row[:k] for row in form[k:]]
+        mat = matmul(x, integer_inverse(q))
+        moved = {tuple(sum(r * c for r, c in zip(row, cls)) for row in mat)
+                 for cls in coorient.eulco_classes(m, a)}
+        assert moved == coorient.eulco_classes(m, b)
+        return mat
+
+    @staticmethod
+    def is_identity(mat):
+        return mat == [[int(i == j) for j in range(len(mat))]
+                       for i in range(len(mat))]
+
+    def test_census_walks_against_computed_basis(self, census_builds):
+        # the census's BASIS_SPEC walks and homology_basis differ on every
+        # census map
+        for b in census_builds:
+            assert not self.is_identity(self.check_law(
+                b.map, b.walks, homology_basis(b.map).walks))
+
+    def test_relabelled_maps(self):
+        rng = random.Random(3)
+        moved = 0
+        for _ in range(40):
+            m = random_valid_map(rng, rng.randint(2, 6))
+            while m.genus == 0:
+                m = random_valid_map(rng, rng.randint(2, 6))
+            copy, perm = relabelled(m, rng)
+            back = {g: h for h, g in enumerate(perm)}
+            b = [tuple(back[g] for g in w) for w in homology_basis(copy)]
+            moved += not self.is_identity(
+                self.check_law(m, homology_basis(m).walks, b))
+        # most renamings pick another basis, so the law is exercised
+        assert moved > 30
 
 
 class TestBasisCertificate:

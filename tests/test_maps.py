@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from isonorm import census
 from isonorm.maps import (CombinatorialMap, InvalidMap, MapError,
                           MapParseError, canonical_form, canonical_key, curves,
                           from_strands, isomorphic, one_faced, parse_map,
@@ -11,12 +10,7 @@ from isonorm.maps import (CombinatorialMap, InvalidMap, MapError,
 from isonorm.torus import TorusCollection, realize_map
 
 from _helpers import (FIGURE_EIGHT, FIXTURES, TORUS_CROSS, TORUS_FAMILIES,
-                      WORDS, random_valid_map, strand_count_oracle)
-
-
-@pytest.fixture(scope="module")
-def census_builds():
-    return [census.word_to_map(w) for w in WORDS]
+                      mirror, random_valid_map, strand_count_oracle)
 
 
 class TestValidate:
@@ -231,10 +225,7 @@ class TestIsomorphism:
 
 def mirrored(m):
     """The map with every rotation reversed."""
-    inv = [0] * m.n
-    for h in range(m.n):
-        inv[m.rotation[h]] = h
-    return CombinatorialMap(tuple(inv), m.pairing)
+    return CombinatorialMap(*mirror(m.rotation, m.pairing))
 
 
 def is_witness(m1, m2, phi, reflect):

@@ -3,19 +3,14 @@ from itertools import product
 
 import pytest
 
-from isonorm import census, coorient, homology, polytope, torus
+from isonorm import coorient, homology, polytope, torus
 from isonorm.maps import (CombinatorialMap, InvalidMap, MapError, curves,
                           parse_map, validate)
 from isonorm.moves import (Child, _chains, eulco_union_check, norm,
                            norm_parity, reduce_map, smooth)
 
 from _helpers import (CHAIN, EVEN_F2, FIGURE_EIGHT, FIXTURES, REDUCIBLE_F3,
-                      TORUS_CROSS, TORUS_FAMILIES, WORDS, random_valid_map)
-
-
-@pytest.fixture(scope="module")
-def census_builds():
-    return [census.word_to_map(w) for w in WORDS]
+                      TORUS_CROSS, TORUS_FAMILIES, random_valid_map)
 
 
 class TestSmooth:
@@ -77,12 +72,11 @@ def reconnect_oracle(m, vertex, idx):
     and pairing arrays from the chain ends, with every edge away from the
     vertex as its own chain."""
     if m.num_vertices == 1:
-        return Child(None, True, "child has no vertices", None)
+        return Child(None, "child has no vertices", None)
     germs = m.vertices[vertex]
     chains = _chains(m.pairing, germs, idx)
     if chains is None:
-        return Child(None, True, "smoothing produces a vertex-free loop",
-                     None)
+        return Child(None, "smoothing produces a vertex-free loop", None)
     chain_end, traversed_as = chains
     outside = [g for g in range(m.n) if g not in germs]
     for g in outside:
@@ -97,12 +91,12 @@ def reconnect_oracle(m, vertex, idx):
     try:
         child = CombinatorialMap(rotation, pairing)
     except InvalidMap as exc:
-        return Child(None, True, str(exc), None)
+        return Child(None, str(exc), None)
     transport = {}
     for q, start in traversed_as.items():
         transport[q] = relabel[start]
         transport[m.pairing[q]] = relabel[chain_end[start]]
-    return Child(child, False, None, transport)
+    return Child(child, None, transport)
 
 
 class TestSmoothMatchesReconnectOracle:
