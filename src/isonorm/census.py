@@ -233,11 +233,9 @@ class Genus2Build:
         form = homology.intersection_form(self.map, self.walks)
         return tuple(tuple(r) for r in form) == STANDARD_SYMPLECTIC
 
-    def eulco_classes(self):
-        return coorient.eulco_classes(self.map, self.walks)
-
     def dual_ball(self):
-        return polytope.convex_hull(self.eulco_classes())
+        return polytope.convex_hull(
+            coorient.eulco_classes(self.map, self.walks))
 
 
 class _VertexFree(Exception):
@@ -294,8 +292,6 @@ def word_to_map(curves):
     n = len(chords)
     crossings = _word_crossings(
         chords, [(i, j) for i in range(n) for j in range(i, n)], {})
-    if not crossings:
-        raise WordError("collection has no crossings")
     try:
         rotation, pairing, walks = _realize(curves, crossings)
     except _VertexFree as exc:

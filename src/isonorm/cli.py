@@ -406,7 +406,8 @@ def main(argv=None):
     except ParseFailure as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except DomainFailure as exc:
+    except (DomainFailure, coorient.FrontierLimit) as exc:
+        # FrontierLimit: the class set of dualball or norm is too large
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except BrokenPipeError:

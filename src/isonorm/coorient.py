@@ -25,6 +25,15 @@ from operator import add
 
 from . import homology
 
+# the most frontiers ``eulco_classes`` keeps after any edge; the census
+# maps need at most 4 and the torus maps of the tests at most 6,758,
+# while a 42-vertex torus map that needs 814,152 runs for 43 s
+MAX_FRONTIERS = 100_000
+
+
+class FrontierLimit(ValueError):
+    """Raised when the class-set search outgrows MAX_FRONTIERS."""
+
 
 class CoOrientation:
     """Per-edge transverse direction; ``designated[e]`` is a half-edge of
@@ -52,27 +61,20 @@ class CoOrientation:
         return CoOrientation(
             self.map, tuple(self.map.pairing[h] for h in self.designated))
 
-    def __eq__(self, other):
-        return (isinstance(other, CoOrientation)
-                and self.map is other.map
-                and self.designated == other.designated)
-
-    def __hash__(self):
-        return hash(self.designated)
-
     def __repr__(self):
         return "CoOrientation(%r)" % (self.designated,)
 
 
-def is_eulerian(m, nu):
-    """True iff every vertex has exactly 2 positive incident crossings."""
-    designated = set(nu.designated if isinstance(nu, CoOrientation) else nu)
+def is_eulerian(m, designated):
+    """True iff every vertex holds exactly 2 designated half-edges."""
+    designated = set(designated)
     return all(sum(1 for h in orb if h in designated) == 2
                for orb in m.vertices)
 
 
-def vertex_type(m, nu, v):
-    """Classify an Eulerian co-orientation at vertex v.
+def vertex_type(m, designated, v):
+    """Classify an Eulerian co-orientation, given by its designated
+    half-edges, at vertex v.
 
     Returns "alternating" when the circle signs alternate (+ - + -) around
     the vertex, "non-alternating" when they pair up (+ + - -): in the latter
@@ -80,9 +82,9 @@ def vertex_type(m, nu, v):
     """
     if not (0 <= v < m.num_vertices):
         raise ValueError("vertex %d out of range" % v)
-    if not is_eulerian(m, nu):
+    designated = set(designated)
+    if not is_eulerian(m, designated):
         raise ValueError("co-orientation is not Eulerian")
-    designated = set(nu.designated if isinstance(nu, CoOrientation) else nu)
     orb = m.vertices[v]
     signs = [h in designated for h in orb]
     # the two strands through v use the rotation-opposite germ pairs
@@ -189,7 +191,8 @@ def eulco_classes(m, basis):
     half-edge sequences.  A state is the designated-germ count of every open
     vertex (some germs decided, some not) plus the partial class vector;
     equal states merge, so the work follows the number of distinct states,
-    not the number of Eulerian co-orientations.
+    not the number of Eulerian co-orientations.  Raises FrontierLimit
+    when more than MAX_FRONTIERS frontiers are open after some edge.
     """
     walks = tuple(basis)
     homology.check_steps(m, walks)
@@ -217,6 +220,9 @@ def eulco_classes(m, basis):
                 else:
                     shifted = vectors
                 nxt.setdefault(f, set()).update(shifted)
+        if len(nxt) > MAX_FRONTIERS:
+            raise FrontierLimit("the class set needs more than %d frontier "
+                                "states" % MAX_FRONTIERS)
         states = nxt
     return states.get(0, set())
 

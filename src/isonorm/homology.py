@@ -299,15 +299,11 @@ def _vertex_boundaries(m, nontree):
 
 
 def homology_basis(m):
-    """Deterministic basis of H_1(surface) as 2g dual walks."""
+    """Deterministic basis of H_1(surface) as 2g dual walks; a tree dual
+    graph (mu = 0) gives an empty matrix and the empty basis."""
     parent_step, nontree = _spanning_tree(m)
     mu = len(nontree)
     g = m.genus
-    if mu == 0:
-        # tree-like dual graph: only possible on the sphere (empty basis)
-        if g != 0:
-            raise AssertionError("tree-like dual graph on genus %d" % g)
-        return HomologyBasis(())
     divisors, uinv = smith_normal_form(_vertex_boundaries(m, nontree))
     rank = len(divisors)
     if any(x != 1 for x in divisors):

@@ -380,9 +380,9 @@ def _canonical_labelling(m, allow_reflection):
     return best, best_order
 
 
-def canonical_form(m, allow_reflection=True):
+def canonical_form(m):
     """A canonically relabeled representative of the isomorphism class."""
-    rot, pair = canonical_key(m, allow_reflection)
+    rot, pair = canonical_key(m)
     return CombinatorialMap(rot, pair)
 
 

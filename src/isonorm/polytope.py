@@ -147,7 +147,7 @@ def convex_hull(points):
             is_vertex.append(is_vertex[mirror])
             continue
         others = pts[:i] + pts[i + 1:]
-        is_vertex.append(not others or not in_convex_hull(p, others))
+        is_vertex.append(not in_convex_hull(p, others))
     return LatticePolytope(p for p, v in zip(pts, is_vertex) if v)
 
 

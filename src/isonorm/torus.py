@@ -85,18 +85,15 @@ def zonotope_decompose(p):
         u, v = cycle[i], cycle[(i + 1) % k]
         e = (v[0] - u[0], v[1] - u[1])  # even: vertices agree mod 2
         w = _half_plane((e[0] // 2, e[1] // 2))
-        if w != (0, 0) and w not in gens:
+        if w not in gens:
             gens.append(w)
     return sorted(gens)
 
 
 def realize(p):
     """A torus multicurve whose dual unit ball is the polygon."""
-    gens = zonotope_decompose(p)
-    if not gens:
-        raise PolygonError("degenerate polygon: nothing to realize")
     families = []
-    for w in gens:
+    for w in zonotope_decompose(p):
         m = gcd(w[0], w[1])
         u = (w[0] // m, w[1] // m)
         families.append(((u[1], -u[0]), m))

@@ -57,6 +57,16 @@ class TestWords:
         with pytest.raises(WordError):
             self_intersection(((("a1", 1, 0), ("a2", 1, 0)),))
 
+    def test_empty_curve_rejected(self):
+        with pytest.raises(WordError):
+            self_intersection(((("a1", 1, 0), ("b1", 1, 0), ("a2", 1, 0),
+                                ("b2", 1, 0)), ()))
+
+    def test_bad_letter_rejected(self):
+        with pytest.raises(WordError):
+            self_intersection(((("a1", 1, 0), ("b1", 2, 0), ("a2", 1, 0),
+                                ("b2", 1, 0)),))
+
     def test_repeated_arc_rejected(self):
         with pytest.raises(WordError):
             self_intersection(((("a1", 1, 0), ("a1", 1, 0),
@@ -588,14 +598,18 @@ class TestCensus:
         assert sorted(rep_keys) == sorted(golden_keys)
 
     def test_class_set_sizes_match_golden_words(self, census_reps):
-        golden = {canonical_key(word_to_map(w).map, allow_reflection=True):
-                  len(word_to_map(w).eulco_classes()) for w in WORDS}
-        for build in census_reps:
-            key = canonical_key(build.map, allow_reflection=True)
-            assert len(build.eulco_classes()) == golden[key]
+        golden = {}
+        for w in WORDS:
+            b = word_to_map(w)
+            golden[canonical_key(b.map, allow_reflection=True)] = len(
+                coorient.eulco_classes(b.map, b.walks))
+        for b in census_reps:
+            key = canonical_key(b.map, allow_reflection=True)
+            assert len(coorient.eulco_classes(b.map, b.walks)) == golden[key]
 
     def test_golden_word_class_sets(self):
-        computed = [word_to_map(w).eulco_classes() for w in WORDS]
+        computed = [coorient.eulco_classes(b.map, b.walks)
+                    for b in map(word_to_map, WORDS)]
         assert computed[0] == GOLDEN_BALLS[0]
         assert computed[1] == GOLDEN_BALLS[1]
         assert computed[2] == GOLDEN_BALLS[2]

@@ -11,7 +11,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from isonorm import cli, homology, maps, polytope, torus
 
-from _helpers import CHAIN, FIXTURES, GOLDEN_BALLS, TORUS_FAMILIES
+from _helpers import (CHAIN, FIGURE_EIGHT, FIXTURES, GOLDEN_BALLS,
+                      TORUS_FAMILIES)
 
 
 def run(capsys, *argv):
@@ -144,6 +145,64 @@ class TestDualBall:
         code, _, _ = run(capsys, "dualball", fx("census1.map"),
                          "--walks", str(walks))
         assert code == 2
+
+
+def one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 \
+        and "Traceback" not in err
+
+
+class TestInputErrors:
+    """Each bad input file exits with its code and one line on stderr."""
+
+    def test_walk_step_with_a_bad_edge_number_exits_two(self, capsys,
+                                                         tmp_path):
+        walks = tmp_path / "w.walks"
+        walks.write_text("e1x+\n")
+        code, _, err = run(capsys, "dualball", fx("census1.map"),
+                           "--walks", str(walks))
+        assert code == 2 and one_error_line(err)
+
+    def test_walk_steps_sharing_no_face_exit_one(self, capsys, tmp_path):
+        # on the figure eight, step e0+ enters a face that e0+ does not
+        # leave
+        m = tmp_path / "fig8.map"
+        m.write_text(maps.serialize_map(FIGURE_EIGHT))
+        walks = tmp_path / "w.walks"
+        walks.write_text("e0+ e0+\n")
+        code, _, err = run(capsys, "dualball", str(m), "--walks", str(walks))
+        assert code == 1 and one_error_line(err)
+        assert "do not share a face" in err
+
+    @pytest.mark.parametrize("text", [
+        "map V=1\nv0: 0 1 x 3\ne: 0 2\ne: 1 3\n",
+        "map V=1\nv0: 0 1 2 3\ne: 3 3\ne: 0 2\n",
+        "map V=1\nv0: 0 1 2 3\ne: 0 2\ne: 2 1\ne: 1 3\n",
+    ], ids=["vertex-token", "edge-to-itself", "half-edge-on-two-edges"])
+    def test_bad_map_line_exits_two(self, capsys, tmp_path, text):
+        m = tmp_path / "bad.map"
+        m.write_text(text)
+        code, _, err = run(capsys, "validate", str(m))
+        assert code == 2 and one_error_line(err)
+
+
+class TestFrontierLimit:
+    # the wide polygon (-8,-1) (-8,3) (-4,-5) (-4,7) (0,-7) (0,7) (4,-7)
+    # (4,5) (8,-3) (8,1): its class set needs over 800,000 frontiers
+    FAMILIES = [((0, 1), 2), ((1, -1), 2), ((1, 0), 2), ((1, 1), 2),
+                ((1, 2), 1)]
+
+    @pytest.mark.parametrize("argv", [["dualball"], ["norm", "--",
+                                                     "1", "-1"]],
+                             ids=["dualball", "norm"])
+    def test_map_above_the_limit_exits_one(self, capsys, tmp_path, argv):
+        m = torus.realize_map(torus.TorusCollection(self.FAMILIES))
+        assert m.num_vertices == 42
+        path = tmp_path / "wide.map"
+        path.write_text(maps.serialize_map(m))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, "") and one_error_line(err)
+        assert "100000" in err
 
 
 def renumber_edges(map_text, walks_text, order, swap):

@@ -25,7 +25,7 @@ class TestIsEulerian:
     def test_curve_orientation_coorientation(self, census_builds):
         for build in census_builds:
             nu = from_curve_orientations(build.map)
-            assert is_eulerian(build.map, nu)
+            assert is_eulerian(build.map, nu.designated)
 
     def test_flipping_one_edge_breaks_it(self, census_builds):
         m = census_builds[0].map
@@ -37,7 +37,7 @@ class TestIsEulerian:
         # non-loop edge (and keeps loops balanced)
         a, b = m.edges[0]
         if m.vertex_of[a] != m.vertex_of[b]:
-            assert not is_eulerian(m, flipped)
+            assert not is_eulerian(m, flipped.designated)
 
     def test_wrong_count_rejected(self):
         m = TORUS_CROSS
@@ -46,16 +46,27 @@ class TestIsEulerian:
         assert not is_eulerian(m, {0, 1, 2})
 
 
+class TestCoOrientation:
+    def test_one_half_edge_per_edge_required(self):
+        with pytest.raises(ValueError):
+            CoOrientation(TORUS_CROSS, (0,))
+
+    def test_half_edge_of_another_edge_rejected(self):
+        # TORUS_CROSS has edges (0, 2) and (1, 3)
+        with pytest.raises(ValueError):
+            CoOrientation(TORUS_CROSS, (1, 0))
+
+
 class TestVertexType:
     def test_curve_orientations_give_non_alternating(self, census_builds):
         for build in census_builds:
             m = build.map
             nu = from_curve_orientations(m)
             for v in range(m.num_vertices):
-                assert vertex_type(m, nu, v) == "non-alternating"
+                assert vertex_type(m, nu.designated, v) == "non-alternating"
 
     def test_figure_eight_has_both_types(self):
-        types = {vertex_type(FIGURE_EIGHT, nu, 0)
+        types = {vertex_type(FIGURE_EIGHT, nu.designated, 0)
                  for nu in enumerate_eulerian(FIGURE_EIGHT)}
         assert types == {"alternating", "non-alternating"}
 
@@ -64,12 +75,17 @@ class TestVertexType:
         for nu in enumerate_eulerian(m):
             rev = nu.reversed()
             for v in range(m.num_vertices):
-                assert vertex_type(m, nu, v) == vertex_type(m, rev, v)
+                assert vertex_type(m, nu.designated, v) \
+                    == vertex_type(m, rev.designated, v)
 
     def test_out_of_range_vertex_rejected(self):
         nu = next(iter(enumerate_eulerian(TORUS_CROSS)))
         with pytest.raises(ValueError):
-            vertex_type(TORUS_CROSS, nu, 5)
+            vertex_type(TORUS_CROSS, nu.designated, 5)
+
+    def test_non_eulerian_set_rejected(self):
+        with pytest.raises(ValueError):
+            vertex_type(TORUS_CROSS, {0, 1, 2}, 0)
 
 
 class TestEnumerate:
@@ -107,11 +123,11 @@ class TestEnumerate:
 class TestClasses:
     def test_census_two_curve_class_set(self, census_builds):
         build = census_builds[1]
-        assert build.eulco_classes() == BALL2
+        assert eulco_classes(build.map, build.walks) == BALL2
 
     def test_cube_class_set(self, census_builds):
         build = census_builds[0]
-        assert len(build.eulco_classes()) == 16
+        assert len(eulco_classes(build.map, build.walks)) == 16
 
     def test_classes_symmetric_and_congruent(self, rng):
         for _ in range(15):
@@ -168,6 +184,16 @@ class TestClasses:
                     oracle_classes(child.map, walks)
                 checked += 1
         assert checked > 0
+
+    def test_frontier_limit_stops_the_search(self, monkeypatch):
+        # this map keeps at most 120 frontiers open after any one edge
+        m = torus_map([((1, 0), 2), ((0, 1), 2), ((1, 1), 2)])
+        walks = homology.homology_basis(m).walks
+        monkeypatch.setattr(coorient, "MAX_FRONTIERS", 120)
+        assert len(eulco_classes(m, walks)) == 19
+        monkeypatch.setattr(coorient, "MAX_FRONTIERS", 119)
+        with pytest.raises(coorient.FrontierLimit):
+            eulco_classes(m, walks)
 
     QUERIES = {
         "eulco_classes": eulco_classes,

@@ -13,9 +13,9 @@ from isonorm.homology import (class_of, coboundary, evaluate,
 from isonorm.maps import CombinatorialMap
 from isonorm.torus import TorusCollection, realize_map
 
-from _helpers import (STANDARD_SYMPLECTIC, TORUS_CROSS, TORUS_FAMILIES,
-                      det_fraction, determinantal_divisors, matmul,
-                      random_valid_map)
+from _helpers import (CHAIN, FIGURE_EIGHT, STANDARD_SYMPLECTIC, TORUS_CROSS,
+                      TORUS_FAMILIES, det_fraction, determinantal_divisors,
+                      matmul, random_valid_map)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +105,16 @@ class TestSmithNormalForm:
         check_all(mats)
 
 
+def test_walk_step_that_is_no_half_edge_rejected():
+    with pytest.raises(homology.WalkError):
+        homology.check_walk(TORUS_CROSS, (0, 4))
+
+
+def test_non_unimodular_matrix_has_no_integer_inverse():
+    with pytest.raises(ValueError):
+        integer_inverse([[2, 0], [0, 1]])
+
+
 class TestSmithInverse:
     """The U^-1 returned by smith_normal_form, against U from the
     Fraction Gauss-Jordan integer_inverse: both products are the
@@ -160,6 +170,14 @@ class TestHomologyBasis:
     def test_genus_one_map(self):
         basis = homology_basis(TORUS_CROSS)
         assert len(basis) == 2
+
+    @pytest.mark.parametrize("m, mu", [(FIGURE_EIGHT, 0), (CHAIN, 2)],
+                             ids=["tree-dual", "chain"])
+    def test_genus_zero_gives_the_empty_basis(self, m, mu):
+        # a tree dual graph (mu = 0) takes the general path too: the empty
+        # boundary matrix has rank 0 = 2g
+        assert len(homology._spanning_tree(m)[1]) == mu
+        assert homology_basis(m).walks == ()
 
     def test_walks_are_valid(self, rng):
         for _ in range(20):
@@ -318,8 +336,25 @@ class TestClassOf:
 
     def test_census_classes_stay_in_unit_cube(self, census_builds):
         build = census_builds[0]
-        for cls in build.eulco_classes():
+        for cls in coorient.eulco_classes(build.map, build.walks):
             assert all(-1 <= x <= 1 for x in cls)
+
+    def test_cochain_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            homology.check_cochain(TORUS_CROSS, [0, 0, 0])
+
+    def test_cochain_that_is_not_antisymmetric_rejected(self):
+        with pytest.raises(ValueError):
+            homology.check_cochain(TORUS_CROSS, [1, 0, 1, 0])
+
+    def test_cochain_off_a_vertex_balance_is_no_class(self):
+        # +1 across an edge between two distinct vertices unbalances both
+        a, b = next((a, b) for a, b in CHAIN.edges
+                    if CHAIN.vertex_of[a] != CHAIN.vertex_of[b])
+        cochain = [0] * CHAIN.n
+        cochain[a], cochain[b] = 1, -1
+        with pytest.raises(ValueError):
+            class_of(CHAIN, cochain, ())
 
     def test_non_cocycle_rejected(self, census_builds):
         m = census_builds[0].map

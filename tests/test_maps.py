@@ -38,6 +38,16 @@ class TestValidate:
             CombinatorialMap(rot, pair)
         assert any("size 8" in d for d in exc.value.diagnostics)
 
+    def test_non_permutations_are_reported(self):
+        with pytest.raises(InvalidMap) as exc:
+            CombinatorialMap((0, 0, 0, 0), (1, 0, 3, 2))
+        assert any("not permutations" in d for d in exc.value.diagnostics)
+
+    def test_non_involution_is_reported(self):
+        with pytest.raises(InvalidMap) as exc:
+            CombinatorialMap((1, 2, 3, 0), (1, 2, 3, 0))
+        assert any("not an involution" in d for d in exc.value.diagnostics)
+
 
 class TestFacesAndGenus:
     def test_one_faced_genus2_counts(self, census_builds):

@@ -17,6 +17,11 @@ class TestSmooth:
     def test_single_vertex_map_degenerates(self):
         assert all(c.degenerate for c in smooth(FIGURE_EIGHT, 0))
 
+    def test_degenerate_child_transports_no_walk(self):
+        first, _ = smooth(CHAIN, 0)
+        with pytest.raises(ValueError):
+            first.transport_walk(())
+
     def test_disconnecting_child_is_degenerate(self):
         first, second = smooth(CHAIN, 0)
         assert first.degenerate and first.map is None

@@ -166,6 +166,14 @@ class TestSupport:
         for a in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
             assert support(ball, a) == 1
 
+    def test_empty_point_set_rejected(self):
+        with pytest.raises(ValueError):
+            LatticePolytope([])
+
+    def test_direction_of_wrong_length_rejected(self):
+        with pytest.raises(DimensionError):
+            support(segment((5, 0)), (1, 0, 0))
+
     def test_asymmetric_ball_rejected(self):
         p = LatticePolytope([(0, 0), (1, 0)])
         with pytest.raises(ValueError):

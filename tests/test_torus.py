@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from isonorm import polytope, torus
-from isonorm.maps import curves as map_curves, validate
+from isonorm.maps import MapError, curves as map_curves, validate
 from isonorm.polytope import convex_hull, minkowski_sum, segment, support
 from isonorm.torus import (PolygonError, TorusCollection, _line_crossings,
                            check_polygon, realize, realize_map, realized_ball,
@@ -199,6 +199,31 @@ class TestRealizeMap:
         assert m.num_vertices == 1
         assert m.genus == 1
         assert len(map_curves(m)) == 2
+
+    def test_degenerate_offsets_take_the_next_salt(self, monkeypatch):
+        # a MapError (two passages of one curve at one point) from the
+        # offsets of one salt moves on to the next salt
+        real, calls = torus.passages, []
+
+        def first_fails(crossings, paths):
+            calls.append(paths)
+            if len(calls) == 1:
+                raise MapError("two passages at parameter 0")
+            return real(crossings, paths)
+
+        monkeypatch.setattr(torus, "passages", first_fails)
+        m = realize_map(TorusCollection([((1, 0), 1), ((0, 1), 1),
+                                         ((1, 1), 1)]))
+        assert calls == [3, 3]
+        assert validate(m) == [] and m.num_vertices == 3
+
+    def test_no_generic_offset_is_an_invariant_failure(self, monkeypatch):
+        def always_fails(crossings, paths):
+            raise MapError("two passages at parameter 0")
+
+        monkeypatch.setattr(torus, "passages", always_fails)
+        with pytest.raises(AssertionError):
+            realize_map(TorusCollection([((1, 0), 1), ((0, 1), 1)]))
 
     def test_three_class_map_is_pinned(self):
         # pins the half-edge labelling of the map builder
